@@ -10,10 +10,11 @@ of :mod:`repro.check.lattice`:
   accessible (non-fused-flags) mapping, and no path may mark a frame
   shared while it still holds an accessible mapping.
 * **FLOW002** — charge/ledger exception safety: every path that
-  performs a merge/unmerge mutation (``map_page``/``unmap_page``) must
-  reach a ledger update (stats counter, clock charge, event emit)
-  before the normal exit — a dominator-or-finally check; explicit
-  ``raise`` aborts are exempt, exception-swallowing handlers are not.
+  performs a merge/unmerge mutation (``map_page``/``unmap_page``/
+  ``remap_page``) must reach a ledger update (stats counter, clock
+  charge, event emit) before the normal exit — a dominator-or-finally
+  check; explicit ``raise`` aborts are exempt, exception-swallowing
+  handlers are not.
 * **FLOW003** — frame-handle escape/leak: a pfn returned by a
   ``BuddyAllocator``/random-pool/``alloc_frame`` call must, on every
   path, be mapped, freed, stored or returned — the static twin of
@@ -136,6 +137,9 @@ def _reporting_pass(
 # FLOW001 — Shared ⊕ accessible-mapping discipline
 # ----------------------------------------------------------------------
 _ALLOC_CALLEES = frozenset({"alloc", "alloc_specific", "alloc_frame"})
+#: Calls that install a mapping: ``map_page`` and the one-walk remap
+#: (kernel ``remap_page``, page-table ``remap``) take the same operands.
+_MAP_CALLEES = frozenset({"map_page", "remap_page", "remap"})
 _FUSED_FLAG_MARKERS = ("FUSED", "RESERVED", "fused")
 
 #: Frame-state facts.
@@ -156,13 +160,14 @@ def _flags_are_fused(expr: ast.expr) -> bool:
 
 
 def _map_page_operands(call: ast.Call) -> tuple[ast.expr, ast.expr] | None:
-    """Extract ``(pfn, flags)`` from a ``map_page`` call, if recognizable.
+    """Extract ``(pfn, flags)`` from a mapping call, if recognizable.
 
     Handles both call shapes in the tree: the kernel facade
     ``map_page(process, vaddr, pfn, flags)`` and the page-table API
-    ``map_page(base, pfn, flags)``; ``flags`` may be a keyword.
+    ``map_page(base, pfn, flags)`` (likewise ``remap_page``/``remap``);
+    ``flags`` may be a keyword.
     """
-    if _callee(call) != "map_page":
+    if _callee(call) not in _MAP_CALLEES:
         return None
     keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg}
     args = call.args
@@ -210,7 +215,7 @@ def _make_flow001_transfer(report: Report | None) -> Callable[[ast.AST, MutableS
                 state.add(var, _SHARED)
             elif callee == "unpin_fused" and call.args and isinstance(call.args[0], ast.Name):
                 state.discard(call.args[0].id, _SHARED)
-            elif callee == "map_page":
+            elif callee in _MAP_CALLEES:
                 operands = _map_page_operands(call)
                 if operands is None:
                     continue
@@ -271,7 +276,7 @@ register_flow(FlowRule(
 # FLOW002 — charge/ledger exception safety
 # ----------------------------------------------------------------------
 _CHARGE_CALLEES = frozenset({"advance", "emit", "charge"})
-_MERGE_OP_CALLEES = frozenset({"map_page", "unmap_page"})
+_MERGE_OP_CALLEES = frozenset({"map_page", "unmap_page", "remap_page"})
 
 
 def _is_charge_node(node: ast.AST) -> bool:
@@ -350,9 +355,10 @@ register_flow(FlowRule(
 _FRAME_SOURCES = frozenset({"alloc", "alloc_specific", "alloc_frame", "_pop_free"})
 #: Calls that take ownership of (or register) a raw pfn argument.
 _FRAME_CONSUMERS = frozenset({
-    "map_page", "free", "free_frame", "queue_free", "write", "set_frame_type",
-    "append", "appendleft", "insert", "add", "push", "pin_fused", "get_ref",
-    "put_ref", "on_alloc", "on_free", "_insert_free", "release_after_unmap",
+    "map_page", "remap_page", "free", "free_frame", "queue_free", "write",
+    "set_frame_type", "append", "appendleft", "insert", "add", "push",
+    "pin_fused", "get_ref", "put_ref", "on_alloc", "on_free", "_insert_free",
+    "release_after_unmap",
 })
 _FRESH_PREFIX = "fresh@"
 

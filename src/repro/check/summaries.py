@@ -65,8 +65,8 @@ _CALL_PREFIX = "call@"
 #: a fresh handle — otherwise ``alloc_specific(pfn); set_frame_type(
 #: pfn, ...); return pfn`` would wrongly look escape-free.
 _OWNERSHIP_SINKS = frozenset({
-    "map_page", "free", "free_frame", "queue_free", "_insert_free",
-    "release_after_unmap", "put_ref", "pin_fused",
+    "map_page", "remap_page", "free", "free_frame", "queue_free",
+    "_insert_free", "release_after_unmap", "put_ref", "pin_fused",
     "append", "appendleft", "insert", "add", "push",
 })
 

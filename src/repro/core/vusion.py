@@ -229,9 +229,10 @@ class Vusion(FusionEngine):
 
     def _merge(self, process: "Process", vaddr: int, node: VusionNode) -> None:
         kernel = self.kernel
-        old_pfn, refcount, _old_pte = kernel.unmap_page(process, vaddr)
+        old_pfn, refcount = kernel.remap_page(
+            process, vaddr, node.pfn, self._fused_flags
+        )
         self._release_scanned_frame(old_pfn, refcount)
-        kernel.map_page(process, vaddr, node.pfn, self._fused_flags)
         self.stats.merges += 1
         self.stats.merge_frame_log.append(node.pfn)
         kernel.emit("fusion:merge", pid=process.pid, vaddr=vaddr, pfn=node.pfn)
@@ -245,9 +246,10 @@ class Vusion(FusionEngine):
         # simulated copy_page charge below is unaffected.
         kernel.physmem.write(new_pfn, content)
         kernel.clock.advance(kernel.costs.copy_page)
-        old_pfn, refcount, _old_pte = kernel.unmap_page(process, vaddr)
+        old_pfn, refcount = kernel.remap_page(
+            process, vaddr, new_pfn, self._fused_flags
+        )
         self._release_scanned_frame(old_pfn, refcount)
-        kernel.map_page(process, vaddr, new_pfn, self._fused_flags)
         node = VusionNode(new_pfn, self.cursor.full_scans)
         kernel.physmem.pin_fused(new_pfn)
         kernel.physmem.get_ref(new_pfn)
@@ -274,8 +276,7 @@ class Vusion(FusionEngine):
             owner = kernel.find_process(pid)
             if owner is None:
                 continue
-            kernel.unmap_page(owner, vaddr)
-            kernel.map_page(owner, vaddr, new_pfn, self._fused_flags)
+            kernel.remap_page(owner, vaddr, new_pfn, self._fused_flags)
         kernel.physmem.unpin_fused(node_pfn)
         kernel.physmem.put_ref(node_pfn)
         if kernel.physmem.refcount(node_pfn) != 0:
@@ -312,8 +313,7 @@ class Vusion(FusionEngine):
         kernel.trace("vusion_coa")
         new_pfn = self.pool.alloc(FrameType.ANON)
         kernel.copy_page_cached(node_pfn, new_pfn)
-        kernel.unmap_page(process, vaddr)
-        kernel.map_page(
+        kernel.remap_page(
             process, vaddr, new_pfn, PteFlags.USER | PteFlags.WRITABLE
         )
         self._queue_node_check(node_pfn)

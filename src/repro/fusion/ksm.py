@@ -186,7 +186,7 @@ class Ksm(FusionEngine):
     # ------------------------------------------------------------------
     # Merging
     # ------------------------------------------------------------------
-    def _fused_flags(self) -> PteFlags:
+    def _fused_flags(self) -> int:
         flags = PteFlags.USER | PteFlags.FUSED
         if self.protect_reads:
             flags |= PteFlags.RESERVED

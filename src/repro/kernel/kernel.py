@@ -264,7 +264,7 @@ class Kernel:
     # ------------------------------------------------------------------
     # Mapping helpers (rmap and refcounts stay consistent)
     # ------------------------------------------------------------------
-    def map_page(self, process: Process, vaddr: int, pfn: int, flags: PteFlags):
+    def map_page(self, process: Process, vaddr: int, pfn: int, flags: int):
         base = vaddr & ~(PAGE_SIZE - 1)
         pte = process.address_space.page_table.map_page(base, pfn, flags)
         self.physmem.rmap_add(pfn, process.pid, base)
@@ -284,7 +284,29 @@ class Kernel:
         self.clock.advance(self.costs.pte_update)
         return pte.pfn, refcount, pte
 
-    def map_huge(self, process: Process, vaddr: int, head_pfn: int, flags: PteFlags):
+    def remap_page(
+        self, process: Process, vaddr: int, pfn: int, flags: int
+    ) -> tuple[int, int]:
+        """Move a 4 KiB mapping to ``pfn``; returns ``(old_pfn, refcount)``.
+
+        Equivalent to :meth:`unmap_page` then :meth:`map_page` (rmap,
+        refcounts, TLB, two ``pte_update`` charges, page-table version
+        +2) with a single page-table walk.  The caller releases the old
+        frame, as after :meth:`unmap_page`.
+        """
+        base = vaddr & ~(PAGE_SIZE - 1)
+        old_pfn = process.address_space.page_table.remap(base, pfn, flags).pfn
+        physmem = self.physmem
+        pid = process.pid
+        physmem.rmap_remove(old_pfn, pid, base)
+        refcount = physmem.put_ref(old_pfn)
+        process.tlb.invalidate_page(base >> 12)
+        physmem.rmap_add(pfn, pid, base)
+        physmem.get_ref(pfn)
+        self.clock.advance(2 * self.costs.pte_update)
+        return old_pfn, refcount
+
+    def map_huge(self, process: Process, vaddr: int, head_pfn: int, flags: int):
         pte = process.address_space.page_table.map_huge(vaddr, head_pfn, flags)
         for index in range(PAGES_PER_HUGE_PAGE):
             self.physmem.rmap_add(head_pfn + index, process.pid, vaddr + index * PAGE_SIZE)

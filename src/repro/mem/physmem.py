@@ -193,8 +193,10 @@ class PhysicalMemory:
         self._fusion_pinned: set[int] = set()
         #: O(1) accounting, maintained by :meth:`set_frame_type`.
         self._in_use = 0
-        self._type_counts: dict[FrameType, int] = {t: 0 for t in FrameType}
-        self._type_counts[FrameType.FREE] = num_frames
+        #: Keyed by ``FrameType._value_`` (a str): enum members hash
+        #: through a Python-level ``Enum.__hash__``, strings in C.
+        self._type_counts: dict[str, int] = {t._value_: 0 for t in FrameType}
+        self._type_counts[FrameType.FREE._value_] = num_frames
         #: Sorted mapped-pfn snapshot; dropped when the rmap key set
         #: changes (entry appears/disappears), not on every rmap touch.
         self._mapped_cache: tuple[int, ...] | None = None
@@ -451,8 +453,9 @@ class PhysicalMemory:
         if previous is frame_type:
             return
         self._types[pfn] = frame_type
-        self._type_counts[previous] -= 1
-        self._type_counts[frame_type] += 1
+        counts = self._type_counts
+        counts[previous._value_] -= 1
+        counts[frame_type._value_] += 1
         if previous is FrameType.FREE:
             self._in_use += 1
         elif frame_type is FrameType.FREE:
@@ -540,4 +543,5 @@ class PhysicalMemory:
             for frame_type in self._types:
                 histogram[frame_type] += 1
             return histogram
-        return dict(self._type_counts)
+        counts = self._type_counts
+        return {frame_type: counts[frame_type._value_] for frame_type in FrameType}

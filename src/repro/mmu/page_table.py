@@ -75,7 +75,7 @@ class PageTable:
     # ------------------------------------------------------------------
     # Mapping
     # ------------------------------------------------------------------
-    def map_page(self, vaddr: int, pfn: int, flags: PteFlags) -> PageTableEntry:
+    def map_page(self, vaddr: int, pfn: int, flags: int) -> PageTableEntry:
         """Install a 4 KiB leaf for the page containing ``vaddr``."""
         if flags & PteFlags.HUGE:
             raise MappingError("use map_huge for huge pages")
@@ -93,7 +93,7 @@ class PageTable:
         self.version += 1
         return pte
 
-    def map_huge(self, vaddr: int, pfn: int, flags: PteFlags) -> PageTableEntry:
+    def map_huge(self, vaddr: int, pfn: int, flags: int) -> PageTableEntry:
         """Install a 2 MiB leaf; ``vaddr`` and ``pfn`` must be aligned."""
         if vaddr % HUGE_PAGE_SIZE != 0:
             raise MappingError(f"huge mapping at unaligned address {vaddr:#x}")
@@ -108,6 +108,27 @@ class PageTable:
         pd[l2] = pte
         self.version += 1
         return pte
+
+    def remap(self, vaddr: int, pfn: int, flags: int) -> PageTableEntry:
+        """Point the 4 KiB leaf at ``vaddr`` to ``pfn``; return the old PTE.
+
+        One walk doing what :meth:`unmap` then :meth:`map_page` do: a
+        fresh entry replaces the old one (which is left untouched) and
+        the version moves by 2, as the two calls would move it.
+        """
+        if flags & PteFlags.HUGE:
+            raise MappingError("use map_huge for huge pages")
+        l4, l3, l2, l1 = _indices(vaddr)
+        pd = self._root.get(l4, {}).get(l3)
+        pt = None if pd is None else pd.get(l2)
+        if isinstance(pt, PageTableEntry):
+            raise MappingError(f"remap hit a huge page at {vaddr:#x}")
+        old = None if pt is None else pt.get(l1)
+        if old is None:
+            raise MappingError(f"no mapping at {vaddr:#x}")
+        pt[l1] = PageTableEntry(pfn, flags | PteFlags.PRESENT)
+        self.version += 2
+        return old
 
     def unmap(self, vaddr: int) -> PageTableEntry:
         """Remove and return the leaf mapping ``vaddr`` (4 KiB or huge)."""
@@ -175,7 +196,7 @@ class PageTable:
         self.version += 1
         return new_ptes
 
-    def collapse_to_huge(self, vaddr: int, pfn: int, flags: PteFlags) -> PageTableEntry:
+    def collapse_to_huge(self, vaddr: int, pfn: int, flags: int) -> PageTableEntry:
         """Replace a fully-populated PT with one huge leaf (khugepaged)."""
         base = vaddr & ~(HUGE_PAGE_SIZE - 1)
         l4, l3, l2, _ = _indices(base)

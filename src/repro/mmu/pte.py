@@ -16,15 +16,17 @@ Models the x86-64 PTE bits that matter to the paper:
 ``COW`` and ``FUSED`` are software bits (real kernels keep equivalent
 state in ``struct page`` / rmap); keeping them in the PTE simplifies the
 simulator without changing observable behaviour.
+
+The flags are plain ``int`` constants, not an ``enum.IntFlag``: every
+walk, fault and remap tests PTE bits, and enum arithmetic would cost a
+Python-level call per ``&``/``|``.
 """
 
 from __future__ import annotations
 
-import enum
 
-
-class PteFlags(enum.IntFlag):
-    """Bit flags of a simulated page-table entry."""
+class PteFlags:
+    """Bit flags of a simulated page-table entry (plain ``int`` bits)."""
 
     NONE = 0
     PRESENT = 1 << 0
@@ -45,7 +47,7 @@ class PageTableEntry:
 
     __slots__ = ("pfn", "flags")
 
-    def __init__(self, pfn: int, flags: PteFlags) -> None:
+    def __init__(self, pfn: int, flags: int) -> None:
         self.pfn = pfn
         self.flags = flags
 
@@ -86,11 +88,11 @@ class PageTableEntry:
     def fused(self) -> bool:
         return bool(self.flags & PteFlags.FUSED)
 
-    def set(self, flags: PteFlags) -> None:
+    def set(self, flags: int) -> None:
         self.flags |= flags
 
-    def clear(self, flags: PteFlags) -> None:
+    def clear(self, flags: int) -> None:
         self.flags &= ~flags
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PageTableEntry(pfn={self.pfn}, flags={self.flags!r})"
+        return f"PageTableEntry(pfn={self.pfn}, flags={self.flags:#x})"

@@ -8,6 +8,7 @@ from repro.errors import ProtectionFault, SegmentationFault
 from repro.kernel.kernel import Kernel, ZERO_FRAME
 from repro.mem.content import tagged_content
 from repro.mem.physmem import FrameType
+from repro.mmu.pte import PteFlags
 from repro.params import MachineSpec, PAGE_SIZE, PAGES_PER_HUGE_PAGE, SECOND
 
 from tests.conftest import small_spec
@@ -205,8 +206,8 @@ class TestProtection:
         vma = proc.mmap(1)
         proc.write(vma.start, b"a")
         walk = proc.address_space.page_table.walk(vma.start)
-        walk.pte.clear(walk.pte.flags.__class__.WRITABLE)
-        walk.pte.clear(walk.pte.flags.__class__.COW)
+        walk.pte.clear(PteFlags.WRITABLE)
+        walk.pte.clear(PteFlags.COW)
         proc.tlb.flush()
         with pytest.raises(ProtectionFault):
             proc.write(vma.start, b"b")

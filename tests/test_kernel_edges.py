@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import FusionError, ProtectionFault, SegmentationFault
+from repro.errors import (
+    FusionError,
+    MappingError,
+    ProtectionFault,
+    SegmentationFault,
+)
 from repro.kernel.access import AccessKind
 from repro.kernel.kernel import Kernel, ZERO_FRAME
 from repro.mem.content import tagged_content
+from repro.mem.physmem import FrameType
 from repro.mmu.pte import PteFlags
 from repro.params import MachineSpec, PAGE_SIZE, PAGES_PER_HUGE_PAGE
 
@@ -117,6 +123,81 @@ class TestFaultPathGuards:
         assert AccessKind.READ.value == "read"
         assert AccessKind.WRITE.value == "write"
         assert AccessKind.FETCH.value == "fetch"
+
+
+def _remap_fixture(target: str):
+    """A kernel with page 0 of a 2-page VMA privately mapped and
+    cached in the TLB, plus the frame it will be moved to: a fresh
+    frame, or page 1's frame (shared after the move)."""
+    kernel = Kernel(small_spec())
+    proc = kernel.create_process("p")
+    vma = proc.mmap(2)
+    proc.write(vma.start, b"old")
+    proc.write(vma.start + PAGE_SIZE, b"other")
+    if target == "fresh":
+        new_pfn = kernel.alloc_frame(FrameType.ANON)
+    else:
+        new_pfn = proc.address_space.page_table.walk(
+            vma.start + PAGE_SIZE).pfn
+    proc.read(vma.start)
+    return kernel, proc, vma.start, new_pfn
+
+
+class TestRemapPage:
+    FLAGS = PteFlags.USER | PteFlags.FUSED | PteFlags.RESERVED
+
+    @pytest.mark.parametrize("target", ["fresh", "mapped"])
+    def test_remap_page_equals_unmap_then_map(self, target):
+        observed = []
+        for one_walk in (False, True):
+            kernel, proc, vaddr, new_pfn = _remap_fixture(target)
+            page_table = proc.address_space.page_table
+            old_pfn = page_table.walk(vaddr).pfn
+            assert proc.tlb.lookup(vaddr >> 12, False)
+            version, clock = page_table.version, kernel.clock.now
+            if one_walk:
+                returned = kernel.remap_page(proc, vaddr, new_pfn, self.FLAGS)
+            else:
+                pfn, refcount, _pte = kernel.unmap_page(proc, vaddr)
+                kernel.map_page(proc, vaddr, new_pfn, self.FLAGS)
+                returned = (pfn, refcount)
+            pte = page_table.walk(vaddr).pte
+            observed.append({
+                "returned": returned,
+                "pte": (pte.pfn, pte.flags),
+                "rmap": (kernel.physmem.rmap(old_pfn),
+                         kernel.physmem.rmap(new_pfn)),
+                "refcounts": (kernel.physmem.refcount(old_pfn),
+                              kernel.physmem.refcount(new_pfn)),
+                "version_delta": page_table.version - version,
+                "clock_delta": kernel.clock.now - clock,
+                "tlb_hit": proc.tlb.lookup(vaddr >> 12, False),
+            })
+        split, one_walk = observed
+        assert one_walk == split
+        assert one_walk["pte"] == (new_pfn, self.FLAGS | PteFlags.PRESENT)
+        assert one_walk["version_delta"] == 2
+        assert one_walk["clock_delta"] == 2 * kernel.costs.pte_update
+        assert not one_walk["tlb_hit"]
+
+    def test_remap_unmapped_address_raises(self):
+        kernel, proc, vaddr, new_pfn = _remap_fixture("fresh")
+        with pytest.raises(MappingError):
+            kernel.remap_page(proc, vaddr + 64 * PAGE_SIZE, new_pfn, self.FLAGS)
+        assert kernel.physmem.refcount(new_pfn) == 0
+
+    def test_remap_huge_leaf_raises(self):
+        kernel = Kernel(small_spec(frames=16384), thp_fault_enabled=True)
+        proc = kernel.create_process("p")
+        vma = proc.mmap(PAGES_PER_HUGE_PAGE)
+        proc.write(vma.start, b"head")
+        page_table = proc.address_space.page_table
+        assert page_table.walk(vma.start).huge
+        new_pfn = kernel.alloc_frame(FrameType.ANON)
+        with pytest.raises(MappingError):
+            kernel.remap_page(proc, vma.start, new_pfn, self.FLAGS)
+        assert page_table.walk(vma.start).huge
+        assert kernel.physmem.refcount(new_pfn) == 0
 
 
 class TestFileInvalidation:

@@ -50,6 +50,52 @@ class TestSmallPages:
             pt.map_page(0x1000, 1, PteFlags.HUGE)
 
 
+class TestRemap:
+    def test_remap_equals_unmap_then_map(self):
+        twin_a, twin_b = PageTable(), PageTable()
+        for pt in (twin_a, twin_b):
+            pt.map_page(0x1000, 7, PteFlags.USER | PteFlags.WRITABLE)
+        before = twin_a.version
+        old_a = twin_a.unmap(0x1000)
+        twin_a.map_page(0x1000, 9, PteFlags.USER | PteFlags.FUSED)
+        old_b = twin_b.remap(0x1000, 9, PteFlags.USER | PteFlags.FUSED)
+        assert (old_b.pfn, old_b.flags) == (old_a.pfn, old_a.flags)
+        walk_a, walk_b = twin_a.walk(0x1000), twin_b.walk(0x1000)
+        assert (walk_b.pfn, walk_b.pte.flags) == (walk_a.pfn, walk_a.pte.flags)
+        assert twin_b.version - before == twin_a.version - before == 2
+
+    def test_remap_installs_a_fresh_entry(self):
+        pt = PageTable()
+        pt.map_page(0x1000, 7, PteFlags.USER | PteFlags.WRITABLE)
+        old = pt.remap(0x1000, 9, PteFlags.USER)
+        assert (old.pfn, old.flags) == (
+            7, PteFlags.USER | PteFlags.WRITABLE | PteFlags.PRESENT)
+        assert pt.walk(0x1000).pte is not old
+
+    def test_remap_unmapped_raises(self):
+        pt = PageTable()
+        pt.map_page(0x1000, 7, PteFlags.USER)
+        for vaddr in (0x2000, HUGE_PAGE_SIZE * 8):
+            with pytest.raises(MappingError):
+                pt.remap(vaddr, 9, PteFlags.USER)
+        assert pt.version == 1
+
+    def test_remap_huge_leaf_raises_and_keeps_it(self):
+        pt = PageTable()
+        pt.map_huge(HUGE_PAGE_SIZE, 512, PteFlags.USER)
+        with pytest.raises(MappingError):
+            pt.remap(HUGE_PAGE_SIZE + PAGE_SIZE, 9, PteFlags.USER)
+        assert pt.walk(HUGE_PAGE_SIZE).huge
+        assert pt.version == 1
+
+    def test_remap_with_huge_flag_rejected(self):
+        pt = PageTable()
+        pt.map_page(0x1000, 7, PteFlags.USER)
+        with pytest.raises(MappingError):
+            pt.remap(0x1000, 9, PteFlags.HUGE)
+        assert pt.walk(0x1000).pfn == 7
+
+
 class TestHugePages:
     def test_map_huge_walk(self):
         pt = PageTable()

@@ -73,9 +73,8 @@ def flow_findings(source: str, path: pathlib.Path):
 MUTANTS = [
     pytest.param(
         VUSION,
-        "kernel.map_page(process, vaddr, node.pfn, self._fused_flags)",
-        "kernel.map_page(process, vaddr, node.pfn, "
-        "PteFlags.USER | PteFlags.WRITABLE)",
+        "            process, vaddr, node.pfn, self._fused_flags\n",
+        "            process, vaddr, node.pfn, PteFlags.USER | PteFlags.WRITABLE\n",
         "FLOW001",
         id="vusion-merge-maps-shared-node-accessible",
     ),
@@ -89,17 +88,16 @@ MUTANTS = [
     ),
     pytest.param(
         VUSION,
-        "kernel.map_page(process, vaddr, new_pfn, self._fused_flags)",
-        "kernel.map_page(process, vaddr, new_pfn, "
-        "PteFlags.USER | PteFlags.WRITABLE)",
+        "            process, vaddr, new_pfn, self._fused_flags\n",
+        "            process, vaddr, new_pfn, PteFlags.USER | PteFlags.WRITABLE\n",
         "FLOW001",
         id="vusion-fake-merge-pins-accessible-frame",
     ),
     pytest.param(
         VUSION,
-        "        kernel.map_page(process, vaddr, node.pfn, self._fused_flags)\n"
+        "        self._release_scanned_frame(old_pfn, refcount)\n"
         "        self.stats.merges += 1",
-        "        kernel.map_page(process, vaddr, node.pfn, self._fused_flags)\n"
+        "        self._release_scanned_frame(old_pfn, refcount)\n"
         "        if refcount:\n"
         "            return\n"
         "        self.stats.merges += 1",
@@ -117,10 +115,10 @@ MUTANTS = [
     ),
     pytest.param(
         VUSION,
-        "        kernel.map_page(\n"
+        "        kernel.remap_page(\n"
         "            process, vaddr, new_pfn, PteFlags.USER | PteFlags.WRITABLE\n"
         "        )",
-        "        kernel.map_page(\n"
+        "        kernel.remap_page(\n"
         "            process, vaddr, node_pfn, PteFlags.USER | PteFlags.WRITABLE\n"
         "        )",
         "FLOW003",
