@@ -19,8 +19,9 @@ test:
 sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-## bench: perf gates (scan/physmem/e2e throughput, scan pass, runner,
-## lint, fleet scale, shard scaling).  REPRO_FLEET_TIER=smoke trims
+## bench: perf gates (scan throughput, physmem arena digests vs
+## uncached, e2e batch vs scalar scan kernel, scan pass, runner, lint,
+## fleet scale, shard scaling).  REPRO_FLEET_TIER=smoke trims
 ## the fleet curves to the 20k tier (what CI runs); unset runs
 ## 20k/100k/500k.
 bench:

@@ -44,30 +44,6 @@ def take_sample(kernel: Kernel) -> MemorySample:
     )
 
 
-def fingerprint_report(kernel: Kernel) -> dict:
-    """Snapshot of the fingerprint cache and scan-replay counters.
-
-    Opt-in (benchmarks and diagnostics): none of these counters feed
-    the ordinary metrics above, so enabling or disabling the cache
-    cannot shift any figure or table output.
-    """
-    physmem = kernel.physmem
-    fingerprints = physmem.fingerprints
-    report: dict = {
-        "enabled": fingerprints.enabled,
-        "store": physmem.store_kind,
-        "physmem": fingerprints.stats.as_dict(),
-        "cached_digests": len(fingerprints.cached_frames()),
-        "mutation_epoch": fingerprints.mutation_epoch,
-    }
-    if physmem.arena is not None:
-        report["arena"] = physmem.arena.stats.as_dict()
-        report["unique_contents"] = physmem.arena.unique_contents()
-    if kernel.fusion is not None:
-        report["scan"] = kernel.fusion.incremental_stats()
-    return report
-
-
 def fused_page_breakdown(kernel: Kernel) -> dict[str, int]:
     """Classify currently-fused PTEs by guest page kind (Table 3).
 

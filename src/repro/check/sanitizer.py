@@ -297,16 +297,13 @@ class FrameSan:
     def check_arena_accounting(self) -> list[str]:
         """Cross-check the content arena against the frame column.
 
-        Columnar store only (no-op on legacy): every live content id's
-        refcount must equal the number of frames currently holding it
-        (plus the arena's own permanent reference on the zero id), and
-        no frame may point at a recycled slot — the arena-level
-        equivalents of the refcount-vs-rmap checks above.
+        Every live content id's refcount must equal the number of frames
+        currently holding it (plus the arena's own permanent reference
+        on the zero id), and no frame may point at a recycled slot — the
+        arena-level equivalents of the refcount-vs-rmap checks above.
         """
         physmem = self.physmem
-        arena = getattr(physmem, "arena", None)
-        if arena is None:
-            return []
+        arena = physmem.arena
         problems: list[str] = []
         held: dict[int, int] = {}
         for pfn in range(physmem.num_frames):

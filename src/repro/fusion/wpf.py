@@ -148,7 +148,7 @@ class WindowsPageFusion(FusionEngine):
         frames are allocated.  The gather runs in two phases: a
         sequential page-table walk collects (and charges) every
         candidate, then one scan-kernel
-        :meth:`~repro.mem.scankernel.ScanKernel.group_by_content` call
+        :meth:`~repro.mem.scankernel.BatchScanKernel.group_by_content` call
         buckets the batch by content identity — a vectorized pass over
         the cid column on the batch kernel, the classic ``merge_key``
         loop on the scalar reference; either way the partition (and

@@ -69,8 +69,6 @@ class Kernel:
         self.physmem = PhysicalMemory(
             self.spec.total_frames,
             fingerprint_enabled=self.spec.fingerprint_enabled,
-            frame_store=self.spec.frame_store,
-            scan_kernel=self.spec.scan_kernel,
         )
         self.buddy = BuddyAllocator(RESERVED_FRAMES, self.spec.total_frames - RESERVED_FRAMES)
         #: FrameSan (None unless ``REPRO_SANITIZE=1`` or ``sanitize=True``):
@@ -200,20 +198,6 @@ class Kernel:
         """Emit a structured tracepoint (no-op unless tracing is on)."""
         if self.tracepoints.active:
             self.tracepoints.emit(self.clock.now, name, **fields)
-
-    def emit_fingerprint_stats(self) -> None:
-        """Emit one ``fingerprint:stats`` tracepoint with cache counters.
-
-        Opt-in rather than automatic: the fingerprint cache must not
-        change the trace stream by itself, or turning it on/off would
-        break trace-level determinism.
-        """
-        fields: dict[str, int] = {"enabled": int(self.physmem.fingerprints.enabled)}
-        fields.update(self.physmem.fingerprints.stats.as_dict())
-        if self.fusion is not None:
-            for key, value in self.fusion.incremental_stats().items():
-                fields[f"scan_{key}"] = value
-        self.emit("fingerprint:stats", **fields)
 
     def scan_topology_token(self) -> tuple[int, int, int]:
         """Cheap token covering everything a scan's page walks depend on.

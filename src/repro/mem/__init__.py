@@ -10,11 +10,10 @@ from repro.mem.content import (
     make_content,
     random_content,
 )
-from repro.mem.physmem import FRAME_STORES, FrameType, PhysicalMemory
+from repro.mem.physmem import FrameType, PhysicalMemory
 from repro.mem.scankernel import (
     BatchScanKernel,
     HAVE_NUMPY,
-    SCAN_KERNELS,
     ScalarScanKernel,
 )
 
@@ -22,12 +21,10 @@ __all__ = [
     "BatchScanKernel",
     "BuddyAllocator",
     "ContentArena",
-    "FRAME_STORES",
     "FrameType",
     "HAVE_NUMPY",
     "PageContent",
     "PhysicalMemory",
-    "SCAN_KERNELS",
     "ScalarScanKernel",
     "ZERO_ID",
     "ZERO_PAGE",

@@ -1,8 +1,8 @@
 """Hash-consed content arena: one canonical copy per unique page payload.
 
 Content identity — not content bytes — is the primitive every dedup
-mechanism (and attack) actually operates on, so the columnar frame
-store deduplicates its own ground truth the same way the engines it
+mechanism (and attack) actually operates on, so physical memory
+deduplicates its own ground truth the same way the engines it
 simulates deduplicate guest memory.  The arena interns every
 :class:`~repro.mem.content.PageContent` payload into a small integer
 **content id** (cid):
@@ -16,8 +16,7 @@ simulates deduplicate guest memory.  The arena interns every
 * the 64-bit content digest is computed at most once per *unique*
   payload.  Digests are content-addressed: mutating a frame swaps its
   cid, it never edits a payload in place, so a cached digest can never
-  go stale — the property that lets the columnar store drop the
-  per-frame invalidation bookkeeping of the legacy fingerprint cache.
+  go stale, so the fingerprint cache needs no per-frame invalidation.
 
 Invariants (cross-checked by FrameSan's end-of-run audit and the
 property tests in ``tests/test_content_arena.py``):

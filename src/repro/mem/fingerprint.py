@@ -1,43 +1,33 @@
-"""Incremental content fingerprints for physical frames.
+"""Content fingerprints and change tracking for physical frames.
 
 Every fusion engine repeatedly hashes page contents: KSM checksums each
 candidate on each pass, WPF re-sorts its candidate list by digest.  At
 simulation scale that blake2b work is the hottest loop in the whole
-system.  This module serves one 64-bit digest per frame from a cache
-whose layout depends on the frame-store backend:
+system.  This module serves one 64-bit digest per frame from the
+:class:`~repro.mem.arena.ContentArena`'s per-unique-content cache.
+Arena digests are content-addressed — a mutation, Rowhammer's
+``corrupt_bit`` included, swaps the frame's content id rather than
+editing a payload — so they can never go stale and need no
+invalidation at all, and ``digest(pfn)`` costs one blake2b per unique
+payload instead of one per frame.
 
-* **legacy** store: one cached digest per *frame*, invalidated through
-  a write barrier in :class:`~repro.mem.physmem.PhysicalMemory` —
-  including Rowhammer's ``corrupt_bit``, which bypasses permissions but
-  **not** the cache (a stale digest would make a corrupted frame merge
-  as if it still held its old contents, silently breaking the attacks
-  the simulator exists to reproduce);
-* **columnar** store: one cached digest per *unique content* in the
-  :class:`~repro.mem.arena.ContentArena`.  Arena digests are
-  content-addressed — a mutation swaps the frame's content id rather
-  than editing a payload — so they can never go stale and need no
-  invalidation at all.  ``digest(pfn)`` costs one blake2b per unique
-  payload instead of one per frame.
-
-Two things must never change whichever backend serves the digest:
+Two things must never change whether the cache is on or off:
 
 * **Simulated time.**  Engines keep charging ``costs.checksum_page``
   (and every other cost) exactly as before; the cache only removes the
   *Python* work of recomputing the hash.  Fig. 5/6 latency
-  distributions are byte-identical with the cache on or off and with
-  either store.
+  distributions are byte-identical with the cache on or off.
 * **Behaviour.**  ``digest(pfn)`` always equals
-  ``content_digest(read(pfn))``; the differential hypothesis suites
-  (``tests/test_fingerprint_differential.py`` and
-  ``tests/test_store_differential.py``) check this under random
+  ``content_digest(read(pfn))``; the differential hypothesis suite
+  (``tests/test_fingerprint_differential.py``) checks this under random
   interleavings of writes, bit flips, merges and unmerges.
 
-With fingerprints *disabled* the hash is recomputed on every call in
-both backends — the disabled configuration stays a true no-cache
-baseline (the scan-throughput perf gate measures against it).
+With fingerprints *disabled* the hash is recomputed on every call —
+the disabled configuration stays a true no-cache baseline (the
+scan-throughput and physmem perf gates measure against it).
 
-On top of the digest cache sit two cheap change detectors engines use
-to skip *re-examining* unchanged pages; both are backend-independent:
+On top of the digests sit two cheap change detectors engines use to
+skip *re-examining* unchanged pages:
 
 * a per-frame **generation counter** bumped on every mutation (unlike
   :meth:`PhysicalMemory.version`, which deliberately ignores
@@ -68,9 +58,6 @@ class FingerprintStats:
     digest_hits: int = 0
     #: ``digest()`` had to run blake2b (also counted when disabled).
     digest_misses: int = 0
-    #: A cached digest was dropped by the write barrier (legacy store
-    #: only; arena digests are content-addressed and never invalidate).
-    invalidations: int = 0
     #: Total frame mutations seen (writes, copies, bit corruptions).
     mutations: int = 0
 
@@ -78,7 +65,6 @@ class FingerprintStats:
         return {
             "digest_hits": self.digest_hits,
             "digest_misses": self.digest_misses,
-            "invalidations": self.invalidations,
             "mutations": self.mutations,
         }
 
@@ -114,34 +100,27 @@ class DirtyFrameView:
 class FingerprintCache:
     """Frame digests with generation-based change tracking.
 
-    Owned by :class:`~repro.mem.physmem.PhysicalMemory`; all mutation
-    paths funnel through :meth:`note_mutation`.  ``backing`` is the
-    frame-store backend the digests are read through — when it exposes
-    a content arena the cache delegates digest storage to it.
+    Owned by :class:`~repro.mem.physmem.PhysicalMemory`, whose content
+    column ``cids`` (one arena content id per frame) it reads through;
+    all mutation paths funnel through :meth:`note_mutation`.
     Generations, the mutation epoch and dirty views are maintained even
     when caching is disabled — they are behaviour-neutral bookkeeping —
     so the ``fingerprint_enabled`` flag toggles only whether blake2b
     results are remembered.
     """
 
-    def __init__(self, num_frames: int, enabled: bool = True,
-                 backing=None) -> None:
+    def __init__(self, arena: "ContentArena", cids: "array[int]",
+                 enabled: bool = True) -> None:
         self.enabled = enabled
         self.stats = FingerprintStats()
         #: Bumped once per mutation of any frame.
         self.mutation_epoch = 0
-        self._num_frames = num_frames
+        self._arena = arena
+        self._cids = cids
         #: Per-frame generation counters in a fixed-size signed-64
         #: column (never reallocated), so the batch scan kernel can
         #: hold a zero-copy view for generation-delta filtering.
-        self._generations = array("q", bytes(8 * num_frames))
-        self._backing = backing
-        self._arena: "ContentArena | None" = getattr(backing, "arena", None)
-        #: Per-frame digests (legacy backend only; None under an arena,
-        #: where digests live per unique content instead).
-        self._digests: dict[int, int] | None = (
-            None if self._arena is not None else {}
-        )
+        self._generations = array("q", bytes(8 * len(cids)))
         self._views: list[DirtyFrameView] = []
 
     # ------------------------------------------------------------------
@@ -152,8 +131,6 @@ class FingerprintCache:
         self._generations[pfn] += 1
         self.mutation_epoch += 1
         self.stats.mutations += 1
-        if self._digests is not None and self._digests.pop(pfn, None) is not None:
-            self.stats.invalidations += 1
         for view in self._views:
             view.note(pfn)
 
@@ -165,43 +142,28 @@ class FingerprintCache:
 
     def digest(self, pfn: int) -> int:
         """64-bit digest of the current content of ``pfn``."""
-        backing = self._backing
+        arena, cid = self._arena, self._cids[pfn]
         if not self.enabled:
             self.stats.digest_misses += 1
-            return content_digest(backing.get(pfn))
-        arena = self._arena
-        if arena is not None:
-            cid = backing.content_id(pfn)
-            cached = arena.peek_digest(cid)
-            if cached is not None:
-                self.stats.digest_hits += 1
-                return cached
-            self.stats.digest_misses += 1
-            return arena.digest(cid)
-        cached = self._digests.get(pfn)
+            return content_digest(arena.payload(cid))
+        cached = arena.peek_digest(cid)
         if cached is not None:
             self.stats.digest_hits += 1
             return cached
-        value = content_digest(backing.get(pfn))
-        self._digests[pfn] = value
         self.stats.digest_misses += 1
-        return value
+        return arena.digest(cid)
 
     def peek(self, pfn: int) -> int | None:
         """Return the cached digest of ``pfn`` without computing one."""
-        if self._arena is not None:
-            return self._arena.peek_digest(self._backing.content_id(pfn))
-        return self._digests.get(pfn)
+        return self._arena.peek_digest(self._cids[pfn])
 
     def cached_frames(self) -> frozenset[int]:
         """Frames whose digest would be served from cache right now."""
-        if self._arena is not None:
-            backing, arena = self._backing, self._arena
-            return frozenset(
-                pfn for pfn in range(self._num_frames)
-                if arena.peek_digest(backing.content_id(pfn)) is not None
-            )
-        return frozenset(self._digests)
+        peek = self._arena.peek_digest
+        return frozenset(
+            pfn for pfn, cid in enumerate(self._cids)
+            if peek(cid) is not None
+        )
 
     # ------------------------------------------------------------------
     # Dirty views

@@ -7,21 +7,14 @@ the paper's key invariants (a merge only ever fuses equal contents; a
 bit flip in a shared frame is visible to *every* mapper; refcounts
 match the number of mappings).
 
-Two interchangeable content backends exist:
-
-* the **columnar** store (default): an ``array``-backed column of
-  content ids into a hash-consed :class:`~repro.mem.arena.ContentArena`
-  — one canonical payload per unique content, O(1) frame copies
-  (retain/release an id, no bytes move) and one digest per unique
-  payload;
-* the **legacy** store: one ``bytes`` object per frame, kept as the
-  differential reference implementation.
-
-Both expose identical semantics through this class; the lockstep suite
-in ``tests/test_store_differential.py`` proves simulated time, merge
-behaviour and runner artifacts are byte-identical either way.  Select a
-backend per machine via ``MachineSpec.frame_store`` or globally via the
-``REPRO_FRAME_STORE`` environment variable.
+Frame contents are columnar: an ``array``-backed column of content ids
+into a hash-consed :class:`~repro.mem.arena.ContentArena` — one
+canonical payload per unique content, O(1) frame copies (retain/release
+an id, no bytes move) and one digest per unique payload.  The
+representation must not show in any simulated observable:
+``tests/test_store_differential.py`` runs it in lockstep against a
+one-payload-per-frame model and holds engine runs and runner artifacts
+to the digests pinned in ``tests/test_payload_digests.py``.
 
 On top of the content column sit O(1) accounting structures — a
 ``frames_in_use`` counter and a frame-type histogram maintained in
@@ -30,37 +23,22 @@ On top of the content column sit O(1) accounting structures — a
 — so per-sample metrics cost is independent of machine size.
 
 Batch queries over many frames (zero sweeps, duplicate grouping,
-digest sweeps) go through the pluggable scan kernel exposed as
-:attr:`PhysicalMemory.scan_kernel` — see :mod:`repro.mem.scankernel`
-— selected per machine via ``MachineSpec.scan_kernel`` or globally
-via ``REPRO_SCAN_KERNEL``.
+digest sweeps) go through the :class:`~repro.mem.scankernel.BatchScanKernel`
+exposed as :attr:`PhysicalMemory.scan_kernel`.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from array import array
 from typing import Iterator
 
 from repro.errors import InvalidFrameError
 from repro.mem.arena import ContentArena, ZERO_ID
-from repro.mem.content import PageContent, ZERO_PAGE, flip_bit
+from repro.mem.content import PageContent, flip_bit
 from repro.mem.fingerprint import DirtyFrameView, FingerprintCache
-from repro.mem.scankernel import default_scan_kernel, make_scan_kernel
+from repro.mem.scankernel import BatchScanKernel
 from repro.params import PAGE_SIZE
-
-#: Environment override for the default content backend.
-FRAME_STORE_ENV = "REPRO_FRAME_STORE"
-
-#: Recognised backend names.
-FRAME_STORES = ("columnar", "legacy")
-
-
-def default_frame_store() -> str:
-    """The process-wide default backend (env override or columnar)."""
-    value = os.environ.get(FRAME_STORE_ENV, "").strip().lower()
-    return value if value in FRAME_STORES else "columnar"
 
 
 class FrameType(enum.Enum):
@@ -78,84 +56,6 @@ class FrameType(enum.Enum):
     OTHER = "other"
 
 
-class LegacyFrameStore:
-    """One ``bytes`` payload per frame (the pre-arena representation)."""
-
-    name = "legacy"
-    arena: ContentArena | None = None
-
-    def __init__(self, num_frames: int) -> None:
-        self._contents: list[PageContent] = [ZERO_PAGE] * num_frames
-
-    def get(self, pfn: int) -> PageContent:
-        return self._contents[pfn]
-
-    def set(self, pfn: int, content: PageContent) -> None:
-        self._contents[pfn] = content
-
-    def copy(self, src: int, dst: int) -> None:
-        self._contents[dst] = self._contents[src]
-
-    def merge_key(self, pfn: int) -> PageContent:
-        return self._contents[pfn]
-
-    def snapshot(self) -> list[PageContent]:
-        return list(self._contents)
-
-
-class ColumnarFrameStore:
-    """An ``array`` column of content ids over a hash-consed arena.
-
-    Each frame holds exactly one arena reference on its current content
-    id — including FREE frames, which keep their last payload alive so
-    diagnostic reads (:meth:`PhysicalMemory.peek_content`) and cached
-    digests of freed frames behave exactly as in the legacy store.
-    """
-
-    name = "columnar"
-
-    def __init__(self, num_frames: int) -> None:
-        self.arena = ContentArena()
-        self._cids = array("q", [ZERO_ID]) * num_frames
-        self.arena._retain(ZERO_ID, num_frames)
-
-    def get(self, pfn: int) -> PageContent:
-        return self.arena.payload(self._cids[pfn])
-
-    def set(self, pfn: int, content: PageContent) -> None:
-        arena = self.arena
-        cid = arena._intern(content)
-        arena._release(self._cids[pfn])
-        self._cids[pfn] = cid
-
-    def copy(self, src: int, dst: int) -> None:
-        arena = self.arena
-        cid = self._cids[src]
-        arena._retain(cid)
-        arena._release(self._cids[dst])
-        self._cids[dst] = cid
-
-    def merge_key(self, pfn: int) -> int:
-        return self._cids[pfn]
-
-    def content_id(self, pfn: int) -> int:
-        return self._cids[pfn]
-
-    def snapshot(self) -> list[PageContent]:
-        payload = self.arena.payload
-        return [payload(cid) for cid in self._cids]
-
-
-def _make_store(kind: str, num_frames: int):
-    if kind == "columnar":
-        return ColumnarFrameStore(num_frames)
-    if kind == "legacy":
-        return LegacyFrameStore(num_frames)
-    raise ValueError(
-        f"unknown frame store {kind!r}; expected one of {FRAME_STORES}"
-    )
-
-
 class PhysicalMemory:
     """All physical frames of the simulated machine.
 
@@ -166,22 +66,24 @@ class PhysicalMemory:
     rmap-based unmapping walk.
     """
 
-    def __init__(
-        self,
-        num_frames: int,
-        fingerprint_enabled: bool = True,
-        frame_store: str | None = None,
-        scan_kernel: str | None = None,
-    ) -> None:
+    #: Name of the content representation (read by benchmark manifests).
+    store_kind = "columnar"
+
+    def __init__(self, num_frames: int, fingerprint_enabled: bool = True) -> None:
         if num_frames <= 0:
             raise ValueError("num_frames must be positive")
         self.num_frames = num_frames
-        #: Content backend ("columnar" by default, "legacy" reference).
-        self._backing = _make_store(frame_store or default_frame_store(), num_frames)
-        #: The content arena behind the columnar store (None on legacy).
-        self.arena: ContentArena | None = self._backing.arena
-        #: A fixed-size signed-64 column (never reallocated) so the
-        #: batch scan kernel can hold a zero-copy view over it.
+        #: The hash-consed payloads behind :attr:`_cids`.
+        self.arena = ContentArena()
+        #: One content id per frame.  Each frame holds exactly one arena
+        #: reference on its current id — FREE frames included, which
+        #: keep their last payload alive for diagnostic reads
+        #: (:meth:`peek_content`) and cached digests.
+        self._cids = array("q", [ZERO_ID]) * num_frames
+        self.arena._retain(ZERO_ID, num_frames)
+        #: ``_cids`` and ``_refcount`` are fixed-size signed-64 columns
+        #: (never reallocated) so the batch scan kernel can hold
+        #: zero-copy views over them.
         self._refcount = array("q", bytes(8 * num_frames))
         self._types: list[FrameType] = [FrameType.FREE] * num_frames
         self._rmap: dict[int, set[tuple[int, int]]] = {}
@@ -200,10 +102,10 @@ class PhysicalMemory:
         #: Sorted mapped-pfn snapshot; dropped when the rmap key set
         #: changes (entry appears/disappears), not on every rmap touch.
         self._mapped_cache: tuple[int, ...] | None = None
-        #: Incremental content fingerprints; every mutation path below
-        #: — including :meth:`corrupt_bit` — invalidates through it.
+        #: Content digests and change tracking; every mutation path
+        #: below — including :meth:`corrupt_bit` — notes through it.
         self.fingerprints = FingerprintCache(
-            num_frames, enabled=fingerprint_enabled, backing=self._backing
+            self.arena, self._cids, enabled=fingerprint_enabled
         )
         #: Optional FrameSan hooks (set by the kernel under
         #: ``REPRO_SANITIZE=1``); content accesses below consult it so
@@ -212,17 +114,8 @@ class PhysicalMemory:
         #: Batch scan primitives over the content column (zero sweep,
         #: duplicate grouping, dirty intersection, generation deltas —
         #: see :mod:`repro.mem.scankernel`).  Engines reach it through
-        #: ``kernel.physmem.scan_kernel``; the flavour is another pure
-        #: representation choice proven observation-identical by
-        #: ``tests/test_scan_kernel_differential.py``.
-        self.scan_kernel = make_scan_kernel(
-            scan_kernel or default_scan_kernel(), self
-        )
-
-    @property
-    def store_kind(self) -> str:
-        """Name of the active content backend ("columnar" | "legacy")."""
-        return self._backing.name
+        #: ``kernel.physmem.scan_kernel``.
+        self.scan_kernel = BatchScanKernel(self)
 
     @property
     def scan_kernel_kind(self) -> str:
@@ -244,7 +137,7 @@ class PhysicalMemory:
         self.check_pfn(pfn)
         if self.sanitizer is not None:
             self.sanitizer.on_read(pfn)
-        return self._backing.get(pfn)
+        return self.arena.payload(self._cids[pfn])
 
     def peek_content(self, pfn: int) -> PageContent:
         """Diagnostic read bypassing the sanitizer's UAF check.
@@ -255,7 +148,7 @@ class PhysicalMemory:
         Simulation code must use :meth:`read`.
         """
         self.check_pfn(pfn)
-        return self._backing.get(pfn)
+        return self.arena.payload(self._cids[pfn])
 
     def write(self, pfn: int, content: PageContent) -> None:
         """Overwrite frame ``pfn`` with canonical ``content``."""
@@ -264,22 +157,34 @@ class PhysicalMemory:
             raise InvalidFrameError("content larger than a page")
         if self.sanitizer is not None:
             self.sanitizer.on_write(pfn)
-        self._backing.set(pfn, content)
+        self._store(pfn, content)
         self._versions[pfn] += 1
         self.fingerprints.note_mutation(pfn)
+
+    def _store(self, pfn: int, content: PageContent) -> None:
+        """Point ``pfn`` at ``content``'s id (interned before the old id
+        is released, so rewriting a frame's own content never recycles
+        its slot)."""
+        arena = self.arena
+        cid = arena._intern(content)
+        arena._release(self._cids[pfn])
+        self._cids[pfn] = cid
 
     def copy(self, src: int, dst: int) -> None:
         """Copy the full page content of ``src`` into ``dst``.
 
-        On the columnar store this moves no bytes at all: ``dst`` simply
-        retains ``src``'s content id.
+        No bytes move: ``dst`` simply retains ``src``'s content id.
         """
         self.check_pfn(src)
         self.check_pfn(dst)
         if self.sanitizer is not None:
             self.sanitizer.on_read(src)
             self.sanitizer.on_write(dst)
-        self._backing.copy(src, dst)
+        arena, cids = self.arena, self._cids
+        cid = cids[src]
+        arena._retain(cid)
+        arena._release(cids[dst])
+        cids[dst] = cid
         self._versions[dst] += 1
         self.fingerprints.note_mutation(dst)
 
@@ -292,12 +197,13 @@ class PhysicalMemory:
         self.check_pfn(pfn)
         # Rowhammer also bypasses the sanitizer's UAF/CoW checks on
         # purpose: a flip landing in a shared or freed frame is the
-        # physical phenomenon under study, not a simulator bug.  On the
-        # columnar store the flip re-interns: the frame moves to the
-        # flipped payload's id, other holders of the old id are
-        # untouched (a flip is per *frame*, not per content).
-        backing = self._backing
-        backing.set(pfn, flip_bit(backing.get(pfn), byte_offset, bit))
+        # physical phenomenon under study, not a simulator bug.  The
+        # flip re-interns: the frame moves to the flipped payload's id,
+        # other holders of the old id are untouched (a flip is per
+        # *frame*, not per content).
+        self._store(
+            pfn, flip_bit(self.arena.payload(self._cids[pfn]), byte_offset, bit)
+        )
         # Rowhammer bypasses permissions and copy-on-write, but not the
         # fingerprint cache: a flipped frame must never keep its stale
         # digest (``_versions`` stays untouched on purpose — see below).
@@ -315,47 +221,44 @@ class PhysicalMemory:
 
     def contents_snapshot(self) -> list[PageContent]:
         """All frame contents by pfn (diagnostics/differential tests)."""
-        return self._backing.snapshot()
+        payload = self.arena.payload
+        return [payload(cid) for cid in self._cids]
 
     # ------------------------------------------------------------------
     # Content identity
     # ------------------------------------------------------------------
-    def merge_key(self, pfn: int) -> object:
+    def merge_key(self, pfn: int) -> int:
         """A hashable key equal iff two frames hold equal content.
 
-        Columnar store: the integer content id (one dict probe groups a
-        merge candidate in O(1) regardless of payload size).  Legacy
-        store: the content bytes themselves.  Either way, bucketing by
-        merge key partitions frames exactly like bucketing by content —
-        in the same encounter order — so engines grouping candidates
-        behave identically on both backends.  Counts as a content read
-        for the sanitizer (use-after-free checks fire exactly as for
+        The integer content id: one dict probe groups a merge candidate
+        in O(1) regardless of payload size, and bucketing by merge key
+        partitions frames exactly like bucketing by content — in the
+        same encounter order.  Counts as a content read for the
+        sanitizer (use-after-free checks fire exactly as for
         :meth:`read`).
         """
         self.check_pfn(pfn)
         if self.sanitizer is not None:
             self.sanitizer.on_read(pfn)
-        return self._backing.merge_key(pfn)
+        return self._cids[pfn]
 
-    def content_id(self, pfn: int) -> int | None:
-        """The arena content id of ``pfn`` (None on the legacy store)."""
+    def content_id(self, pfn: int) -> int:
+        """The arena content id of ``pfn`` (no sanitizer hook)."""
         self.check_pfn(pfn)
-        if self.arena is None:
-            return None
-        return self._backing.content_id(pfn)
+        return self._cids[pfn]
 
     def same_content(self, pfn: int, content: PageContent) -> bool:
         """Whether frame ``pfn`` currently holds exactly ``content``.
 
         The supported way for engines to re-validate a match (simlint's
         MEM002 flags raw ``read(pfn) == content`` comparisons in fusion
-        hot paths).  On the columnar store interned payloads make the
-        common case an object-identity check.
+        hot paths).  Interned payloads make the common case an
+        object-identity check.
         """
         self.check_pfn(pfn)
         if self.sanitizer is not None:
             self.sanitizer.on_read(pfn)
-        stored = self._backing.get(pfn)
+        stored = self.arena.payload(self._cids[pfn])
         return stored is content or stored == content
 
     # ------------------------------------------------------------------
@@ -373,11 +276,10 @@ class PhysicalMemory:
     def digests_many(self, pfns: list[int]) -> list[int]:
         """Digests for many frames in one pass.
 
-        Behaviourally ``[digest(pfn) for pfn in pfns]``; on the
-        columnar store duplicate content ids in the batch collapse to
-        a single cache probe each (and under the batch scan kernel the
-        column indexing itself is vectorized), with hit/miss stats
-        matching the per-frame path exactly either way.
+        Behaviourally ``[digest(pfn) for pfn in pfns]``; duplicate
+        content ids in the batch collapse to a single cache probe each
+        (and the batch scan kernel vectorizes the column indexing), with
+        hit/miss stats matching the per-frame path exactly.
         """
         return self.scan_kernel.digest_sweep(pfns)
 
@@ -506,14 +408,10 @@ class PhysicalMemory:
     def mapped_frames(self) -> Iterator[int]:
         """Iterate over frames with at least one virtual mapping.
 
-        Sorted ascending.  Columnar store: the sorted snapshot is
-        cached and only rebuilt after a frame gains its first or loses
-        its last mapping, so steady-state calls are O(1) + iteration.
-        Legacy store: the historical per-call re-sort, preserved so the
-        end-to-end gate compares the old cost model faithfully.
+        Sorted ascending.  The sorted snapshot is cached and only
+        rebuilt after a frame gains its first or loses its last mapping,
+        so steady-state calls are O(1) + iteration.
         """
-        if self._backing.arena is None:
-            return iter(sorted(self._rmap))
         cached = self._mapped_cache
         if cached is None:
             cached = tuple(sorted(self._rmap))
@@ -523,25 +421,14 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    # The counters are maintained for both backends, but the legacy
-    # accessors recount per call — that O(num_frames)-per-sample cost
-    # *is* the pre-columnar behaviour the legacy store exists to
-    # preserve (and ``tests/test_store_accounting.py`` proves counter
-    # and recount never disagree).
+    # Counter-backed (``tests/test_store_accounting.py`` proves counter
+    # and full recount never disagree).
 
     def frames_in_use(self) -> int:
-        """Number of frames not currently free (columnar: O(1))."""
-        if self._backing.arena is None:
-            free = FrameType.FREE
-            return sum(1 for t in self._types if t is not free)
+        """Number of frames not currently free (O(1))."""
         return self._in_use
 
     def type_histogram(self) -> dict[FrameType, int]:
-        """Frame counts per :class:`FrameType` (columnar: O(#types))."""
-        if self._backing.arena is None:
-            histogram = {frame_type: 0 for frame_type in FrameType}
-            for frame_type in self._types:
-                histogram[frame_type] += 1
-            return histogram
+        """Frame counts per :class:`FrameType` (O(#types))."""
         counts = self._type_counts
         return {frame_type: counts[frame_type._value_] for frame_type in FrameType}

@@ -1,4 +1,4 @@
-"""Batch scan primitives over the frame store's content column.
+"""Batch scan primitives over physical memory's content column.
 
 Fusion engines spend their scan passes asking the same few questions
 about many frames at once: "which of these are zero?", "which hold
@@ -6,54 +6,45 @@ equal content?", "which changed since I last looked?".  Asked one
 frame at a time through :class:`~repro.mem.physmem.PhysicalMemory`,
 every answer costs a Python method call; at fleet scale (256k+
 frames) that interpreter overhead dwarfs the simulation itself.  This
-module turns the questions into batch primitives over the columnar
-store's cid column:
+module turns the questions into batch primitives over the cid column:
 
-* **zero-page sweep** — :meth:`ScanKernel.zero_frames` /
-  :meth:`ScanKernel.is_zero_frame`: a frame is zero iff its content id
-  is :data:`~repro.mem.arena.ZERO_ID` (canonical contents strip
-  trailing zero bytes, so the zero page is the empty payload);
+* **zero-page sweep** — :meth:`~ScalarScanKernel.zero_frames` /
+  :meth:`~ScalarScanKernel.is_zero_frame`: a frame is zero iff its
+  content id is :data:`~repro.mem.arena.ZERO_ID` (canonical contents
+  strip trailing zero bytes, so the zero page is the empty payload);
 * **duplicate-cid candidate grouping** —
-  :meth:`ScanKernel.group_by_content`: partition a candidate batch by
-  content identity, preserving first-encounter order exactly like the
-  scalar ``merge_key`` loop it replaces;
-* **dirty-set intersection** — :meth:`ScanKernel.dirty_intersection` /
-  :meth:`ScanKernel.any_fused`: intersect a drained dirty view with a
-  candidate list or the fusion-pinned set;
+  :meth:`~ScalarScanKernel.group_by_content`: partition a candidate
+  batch by content identity, preserving first-encounter order exactly
+  like the scalar ``merge_key`` loop it replaces;
+* **dirty-set intersection** —
+  :meth:`~ScalarScanKernel.dirty_intersection` /
+  :meth:`~ScalarScanKernel.any_fused`: intersect a drained dirty view
+  with a candidate list or the fusion-pinned set;
 * **generation-delta filtering** —
-  :meth:`ScanKernel.generation_snapshot` /
-  :meth:`ScanKernel.changed_since`: keep only the frames whose
+  :meth:`~ScalarScanKernel.generation_snapshot` /
+  :meth:`~ScalarScanKernel.changed_since`: keep only the frames whose
   mutation generation advanced past a snapshot;
-* **digest sweep** — :meth:`ScanKernel.digest_sweep`: the batch
+* **digest sweep** — :meth:`~ScalarScanKernel.digest_sweep`: the batch
   fingerprint lookup behind ``PhysicalMemory.digests_many``;
-* **refcount reduction** — :meth:`ScanKernel.refcount_sum`: the
+* **refcount reduction** — :meth:`~ScalarScanKernel.refcount_sum`: the
   sharing-pair accounting sum behind every engine's ``saved_frames``.
 
-Two implementations sit behind one interface:
+:class:`BatchScanKernel` is the kernel every ``PhysicalMemory`` builds.
+It is vectorized over zero-copy views of the cid / generation /
+refcount columns: NumPy when installed (the ``repro[fast]`` extra), a
+pure ``array``-module fallback otherwise.  The columns are fixed-size
+``array("q")`` buffers that never reallocate, so the NumPy views
+(``numpy.frombuffer``) stay live for the machine's lifetime.
 
-:class:`ScalarScanKernel`
-    The reference: per-frame loops through the public
-    ``PhysicalMemory`` API.  Works on both frame-store backends, and
-    is the implementation every content-reading primitive delegates to
-    while a FrameSan sanitizer is attached — so ``on_read`` hooks fire
-    exactly as the scalar loops fire them.
-
-:class:`BatchScanKernel`
-    Vectorized over zero-copy views of the cid / generation / refcount
-    columns: NumPy when installed (the ``repro[fast]`` extra), a pure
-    ``array``-module fallback otherwise.  The columns are fixed-size
-    ``array("q")`` buffers that never reallocate, so the NumPy views
-    (``numpy.frombuffer``) stay live for the machine's lifetime.
-    Requires the columnar store; on the legacy store every primitive
-    transparently takes the scalar path.
-
-Selection mirrors the frame-store switch: per machine via
-``MachineSpec.scan_kernel``, globally via the ``REPRO_SCAN_KERNEL``
-environment variable, default "batch".  The choice is pure
-representation — simulated clocks, ledgers, artifacts and sanitizer
-audits are byte-identical either way.
+:class:`ScalarScanKernel` is the reference: per-frame loops through the
+public ``PhysicalMemory`` API.  The batch kernel inherits it and
+delegates every content-reading primitive to it while a FrameSan
+sanitizer is attached, so ``on_read`` hooks fire exactly as the scalar
+loops fire them.  It is also the test oracle: simulated clocks,
+ledgers, artifacts and sanitizer audits are byte-identical with a
+``ScalarScanKernel`` swapped in for ``physmem.scan_kernel``.
 ``tests/test_scan_kernel_differential.py`` runs all five fusion
-engines in lockstep under both kernels to prove it,
+engines in lockstep under both to prove it,
 ``tests/test_scan_kernel_props.py`` pins the NumPy and array-fallback
 implementations against each other element-for-element, and the
 mutation meta-test plants boundary bugs in this file and checks the
@@ -62,7 +53,6 @@ suites catch each one.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.mem.arena import ZERO_ID
@@ -82,19 +72,6 @@ try:  # pragma: no cover - exercised by the no-NumPy CI leg
 except ImportError:  # pragma: no cover
     _np = None
     HAVE_NUMPY = False
-
-#: Environment override for the default scan kernel.
-SCAN_KERNEL_ENV = "REPRO_SCAN_KERNEL"
-
-#: Recognised kernel names.
-SCAN_KERNELS = ("batch", "scalar")
-
-
-def default_scan_kernel() -> str:
-    """The process-wide default kernel (env override or batch)."""
-    value = os.environ.get(SCAN_KERNEL_ENV, "").strip().lower()
-    return value if value in SCAN_KERNELS else "batch"
-
 
 class ScalarScanKernel:
     """Reference scan kernel: per-frame loops over the public API.
@@ -218,17 +195,17 @@ class ScalarScanKernel:
     def digest_sweep(self, pfns: Sequence[int]) -> list[int]:
         """Digests for many frames in one pass.
 
-        Behaviourally ``[physmem.digest(pfn) for pfn in pfns]``; on
-        the columnar store duplicate content ids in the batch collapse
-        to a single cache probe each, with hit/miss stats matching the
-        per-frame path exactly.
+        Behaviourally ``[physmem.digest(pfn) for pfn in pfns]``;
+        duplicate content ids in the batch collapse to a single cache
+        probe each, with hit/miss stats matching the per-frame path
+        exactly.
         """
         physmem = self.physmem
         fingerprints = physmem.fingerprints
-        arena = physmem.arena
-        if arena is None or not fingerprints.enabled:
+        if not fingerprints.enabled:
             return [physmem.digest(pfn) for pfn in pfns]
-        cids = physmem._backing._cids
+        arena = physmem.arena
+        cids = physmem._cids
         num_frames = physmem.num_frames
         stats = fingerprints.stats
         by_cid: dict[int, int] = {}
@@ -271,12 +248,11 @@ class ScalarScanKernel:
 
 
 class BatchScanKernel(ScalarScanKernel):
-    """Vectorized scan kernel over the columnar content column.
+    """Vectorized scan kernel over the content column.
 
     Content-reading primitives delegate to the scalar loops whenever a
-    sanitizer is attached (so FrameSan's per-access hooks fire
-    identically) or the machine runs the legacy store (no cid column
-    to vectorize).  Pure-accounting primitives (generations, digests,
+    sanitizer is attached, so FrameSan's per-access hooks fire
+    identically.  Pure-accounting primitives (generations, digests,
     refcounts) never fire sanitizer hooks and stay vectorized even
     under FrameSan.
     """
@@ -294,9 +270,8 @@ class BatchScanKernel(ScalarScanKernel):
                 "BatchScanKernel(use_numpy=True) requires NumPy; install "
                 "the repro[fast] extra"
             )
-        #: The cid column (None on the legacy store — scalar fallback).
-        self._cids = getattr(physmem._backing, "_cids", None)
-        self._np = _np if (use_numpy and self._cids is not None) else None
+        self._cids = physmem._cids
+        self._np = _np if use_numpy else None
         # Lazy zero-copy NumPy views; the underlying array("q") columns
         # are allocated once per machine and never resized, so a
         # frombuffer view stays valid for the machine's lifetime.
@@ -306,8 +281,6 @@ class BatchScanKernel(ScalarScanKernel):
 
     @property
     def backend(self) -> str:
-        if self._cids is None:
-            return "scalar"
         return "numpy" if self._np is not None else "array"
 
     # ------------------------------------------------------------------
@@ -388,8 +361,8 @@ class BatchScanKernel(ScalarScanKernel):
 
     def _reads_are_scalar(self) -> bool:
         """Content-reading primitives take the scalar path under a
-        sanitizer (hook parity) or on the legacy store (no column)."""
-        return self._cids is None or self.physmem.sanitizer is not None
+        sanitizer (hook parity)."""
+        return self.physmem.sanitizer is not None
 
     # ------------------------------------------------------------------
     # Zero-page sweep
@@ -487,14 +460,14 @@ class BatchScanKernel(ScalarScanKernel):
     # Generation-delta filtering
     # ------------------------------------------------------------------
     def generation_snapshot(self, pfns: Sequence[int]) -> list[int]:
-        if self._np is None or self._cids is None:
+        if self._np is None:
             return super().generation_snapshot(pfns)
         return self._gen_column()[self._pfn_array(pfns)].tolist()
 
     def changed_since(
         self, pfns: Sequence[int], snapshot: Sequence[int]
     ) -> list[int]:
-        if self._np is None or self._cids is None:
+        if self._np is None:
             return super().changed_since(pfns, snapshot)
         if len(pfns) != len(snapshot):
             raise ValueError(
@@ -512,11 +485,10 @@ class BatchScanKernel(ScalarScanKernel):
     # Digest sweep
     # ------------------------------------------------------------------
     def digest_sweep(self, pfns: Sequence[int]) -> list[int]:
-        physmem = self.physmem
-        fingerprints = physmem.fingerprints
-        arena = physmem.arena
-        if self._np is None or arena is None or not fingerprints.enabled:
+        fingerprints = self.physmem.fingerprints
+        if self._np is None or not fingerprints.enabled:
             return super().digest_sweep(pfns)
+        arena = self.physmem.arena
         np = self._np
         arr = self._pfn_array(pfns)
         if arr.size == 0:
@@ -549,22 +521,7 @@ class BatchScanKernel(ScalarScanKernel):
     # Refcount reduction
     # ------------------------------------------------------------------
     def refcount_sum(self, pfns: Iterable[int]) -> int:
-        if self._np is None or self._cids is None:
+        if self._np is None:
             return super().refcount_sum(pfns)
         arr = self._pfn_array(pfns)
         return int(self._ref_column()[arr].sum())
-
-
-#: The common interface name (either implementation satisfies it).
-ScanKernel = ScalarScanKernel
-
-
-def make_scan_kernel(kind: str, physmem: "PhysicalMemory") -> ScalarScanKernel:
-    """Instantiate the scan kernel named ``kind`` for ``physmem``."""
-    if kind == "batch":
-        return BatchScanKernel(physmem)
-    if kind == "scalar":
-        return ScalarScanKernel(physmem)
-    raise ValueError(
-        f"unknown scan kernel {kind!r}; expected one of {SCAN_KERNELS}"
-    )

@@ -222,22 +222,6 @@ class MachineSpec:
     #: Pure Python-level optimisation: simulated time and behaviour are
     #: identical either way (tests/test_fingerprint_determinism.py).
     fingerprint_enabled: bool = True
-    #: Content backend for PhysicalMemory: "columnar" (hash-consed
-    #: arena, the default) or "legacy" (one bytes object per frame,
-    #: kept as the differential reference).  None defers to the
-    #: REPRO_FRAME_STORE environment variable, then "columnar".
-    #: Another pure representation choice: simulated time, merges and
-    #: artifacts are byte-identical (tests/test_store_differential.py).
-    frame_store: str | None = None
-    #: Scan kernel serving batch frame queries (zero sweeps, duplicate
-    #: grouping, digest sweeps): "batch" (vectorized over the columnar
-    #: cid column — NumPy when installed, pure-``array`` fallback
-    #: otherwise) or "scalar" (the per-frame reference loops).  None
-    #: defers to the REPRO_SCAN_KERNEL environment variable, then
-    #: "batch".  Like the store, a pure representation choice: clocks,
-    #: ledgers and artifacts are byte-identical
-    #: (tests/test_scan_kernel_differential.py).
-    scan_kernel: str | None = None
 
     @property
     def total_bytes(self) -> int:

@@ -85,16 +85,21 @@ def assert_cache_fresh(physmem: PhysicalMemory) -> None:
         )
 
 
-@pytest.mark.parametrize("frame_store", ["legacy", "columnar"])
+#: The one store, kept as a parameter so the test ids name what they
+#: exercise (``physmem.store_kind``).
+STORES = ["columnar"]
+
+@pytest.mark.parametrize("store", STORES)
 @settings(
     max_examples=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ops=st.lists(raw_op, min_size=1, max_size=120))
-def test_raw_operation_sequences(frame_store, ops):
+def test_raw_operation_sequences(store, ops):
     """Digest cache and dirty views stay exact under arbitrary ops."""
-    physmem = PhysicalMemory(RAW_FRAMES, frame_store=frame_store)
+    physmem = PhysicalMemory(RAW_FRAMES)
+    assert physmem.store_kind == store
     view = physmem.register_dirty_view("test")
     expected_dirty: set[int] = set()
     expected_generations = [0] * RAW_FRAMES
@@ -116,17 +121,13 @@ def test_raw_operation_sequences(frame_store, ops):
             # Rowhammer must invalidate the digest but never the
             # charge-recharge version (one-way discharge model).
             assert physmem.version(a) == version_before
+            # The flip moved the frame to the flipped payload's content
+            # id; a digest is only present if that exact payload was
+            # digested before — never stale.
             peeked = physmem.fingerprints.peek(a)
-            if frame_store == "legacy":
-                # Per-frame cache: the flip must drop the entry.
-                assert peeked is None
-            else:
-                # Arena cache: the flip moved the frame to the flipped
-                # payload's content id; a digest is only present if that
-                # exact payload was digested before — never stale.
-                assert peeked is None or peeked == content_digest(
-                    physmem.peek_content(a)
-                )
+            assert peeked is None or peeked == content_digest(
+                physmem.peek_content(a)
+            )
         elif action == "digest":
             assert physmem.digest(a) == content_digest(physmem.read(a))
         else:  # drain
@@ -145,14 +146,13 @@ def test_raw_operation_sequences(frame_store, ops):
         assert physmem.digest(pfn) == first == content_digest(physmem.read(pfn))
 
 
-@pytest.mark.parametrize("frame_store", ["legacy", "columnar"])
+@pytest.mark.parametrize("store", STORES)
 @settings(max_examples=25, deadline=None)
 @given(ops=st.lists(raw_op, min_size=1, max_size=60))
-def test_disabled_cache_is_pure_recomputation(frame_store, ops):
+def test_disabled_cache_is_pure_recomputation(store, ops):
     """With fingerprints disabled nothing is cached, digests stay right."""
-    physmem = PhysicalMemory(
-        RAW_FRAMES, fingerprint_enabled=False, frame_store=frame_store
-    )
+    physmem = PhysicalMemory(RAW_FRAMES, fingerprint_enabled=False)
+    assert physmem.store_kind == store
     for action, a, b in ops:
         if action == "write":
             physmem.write(a, tagged_content("raw", b))

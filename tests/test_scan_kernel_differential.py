@@ -5,7 +5,8 @@ The batch kernel changes *how* scan-pass questions are answered
 instead of per-frame Python loops) but must not change a single
 observable of the simulation: simulated time, merge behaviour, attack
 verdicts and runner artifacts have to be byte-identical to the scalar
-reference loops.  Same discipline as
+reference loops of :class:`~repro.mem.scankernel.ScalarScanKernel`,
+swapped in for ``physmem.scan_kernel``.  Same discipline as
 ``tests/test_store_differential.py``, four layers:
 
 * lockstep primitive sequences over randomized frame traffic,
@@ -17,7 +18,9 @@ reference loops.  Same discipline as
   duplicate-heavy workload and hypothesis-randomized traffic,
   checkpointing clock, savings, samples and frame layout;
 * the runner: ``execute_task`` payloads (experiments and Table 1
-  attack cells) rendered to canonical JSON under each kernel;
+  attack cells) rendered to canonical JSON under each kernel, with
+  the scalar kernel patched in where ``PhysicalMemory`` builds its
+  kernel;
 * FrameSan-sanitized runs, which must also be identical — and end
   with a clean ledger audit under either kernel.
 
@@ -31,18 +34,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.mem.physmem
 from repro.kernel.kernel import Kernel
 from repro.mem.content import tagged_content
 from repro.mem.physmem import PhysicalMemory
-from repro.mem.scankernel import SCAN_KERNEL_ENV
+from repro.mem.scankernel import ScalarScanKernel
 from repro.params import MS, MachineSpec, PAGE_SIZE
 from repro.runner import canonical_json, execute_task
 
 from tests.test_fingerprint_differential import ENGINES
-from tests.test_store_differential import (
+from tests.test_payload_digests import (
     RUNNER_TASKS,
     checkpoint,
-    observables,
     scripted_workload,
 )
 
@@ -74,11 +77,10 @@ PROBE_PFNS = (
 )
 
 
-def primitive_answers(physmem: PhysicalMemory, snapshot: list[int]) -> tuple:
-    kernel = physmem.scan_kernel
+def primitive_answers(kernel, snapshot: list[int]) -> tuple:
     return (
         kernel.zero_frames(PROBE_PFNS),
-        list(kernel.group_by_content(PROBE_PFNS).values()),
+        kernel.group_by_content(PROBE_PFNS),
         kernel.generation_snapshot(PROBE_PFNS),
         kernel.changed_since(list(range(RAW_FRAMES)), snapshot),
         kernel.digest_sweep(PROBE_PFNS),
@@ -96,45 +98,32 @@ def primitive_answers(physmem: PhysicalMemory, snapshot: list[int]) -> tuple:
 @given(ops=st.lists(raw_op, min_size=1, max_size=60))
 def test_raw_lockstep(ops):
     """Both kernels answer identically after every operation."""
-    machines = {
-        kind: PhysicalMemory(RAW_FRAMES, scan_kernel=kind) for kind in KERNELS
-    }
-    baseline = {
-        kind: machines[kind].scan_kernel.generation_snapshot(
-            list(range(RAW_FRAMES))
-        )
-        for kind in KERNELS
-    }
-    assert baseline["scalar"] == baseline["batch"]
+    physmem = PhysicalMemory(RAW_FRAMES)
+    scalar, batch = ScalarScanKernel(physmem), physmem.scan_kernel
+    assert batch.name == "batch"
+    baseline = scalar.generation_snapshot(list(range(RAW_FRAMES)))
+    assert baseline == batch.generation_snapshot(list(range(RAW_FRAMES)))
     for action, a, b in ops:
-        for physmem in machines.values():
-            if action == "write":
-                physmem.write(a, tagged_content("kdiff", b))
-            elif action == "copy":
-                physmem.copy(a, b)
-            elif action == "corrupt":
-                physmem.corrupt_bit(a, b, b % 8)
-            elif action == "ref":
-                physmem.get_ref(a)
-            elif action == "pin":
-                if physmem.is_fused(a):
-                    physmem.unpin_fused(a)
-                else:
-                    physmem.pin_fused(a)
-        scalar = primitive_answers(machines["scalar"], baseline["scalar"])
-        batch = primitive_answers(machines["batch"], baseline["batch"])
-        assert scalar == batch
-        assert observables(machines["scalar"]) == observables(machines["batch"])
-    # Group keys are backend identities (cids here), so they are only
-    # comparable *within* one machine: check the key->content mapping.
-    for physmem in machines.values():
-        for key, members in (
-            physmem.scan_kernel.group_by_content(PROBE_PFNS).items()
-        ):
-            contents = {
-                physmem.peek_content(PROBE_PFNS[i]) for i in members
-            }
-            assert len(contents) == 1
+        if action == "write":
+            physmem.write(a, tagged_content("kdiff", b))
+        elif action == "copy":
+            physmem.copy(a, b)
+        elif action == "corrupt":
+            physmem.corrupt_bit(a, b, b % 8)
+        elif action == "ref":
+            physmem.get_ref(a)
+        elif action == "pin":
+            if physmem.is_fused(a):
+                physmem.unpin_fused(a)
+            else:
+                physmem.pin_fused(a)
+        # Batch first, so its digest sweep meets uncached contents.
+        answers = primitive_answers(batch, baseline)
+        assert primitive_answers(scalar, baseline) == answers
+    # Group keys are content ids: each names exactly one content.
+    for key, members in batch.group_by_content(PROBE_PFNS).items():
+        contents = {physmem.peek_content(PROBE_PFNS[i]) for i in members}
+        assert contents == {physmem.arena.payload(key)}
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +132,11 @@ def test_raw_lockstep(ops):
 
 
 def build_kernel(engine_name: str, kind: str, sanitize: bool) -> Kernel:
-    spec = MachineSpec(total_frames=1024, seed=1017, scan_kernel=kind)
+    spec = MachineSpec(total_frames=1024, seed=1017)
     kernel = Kernel(spec, sanitize=sanitize or None)
+    if kind == "scalar":
+        kernel.physmem.scan_kernel = ScalarScanKernel(kernel.physmem)
+    assert kernel.physmem.scan_kernel_kind == kind
     kernel.attach_fusion(ENGINES[engine_name]())
     return kernel
 
@@ -209,18 +201,15 @@ def test_randomized_traffic_is_identical_across_kernels(traffic, engine_index):
 # ----------------------------------------------------------------------
 
 
-def run_with_kernel(monkeypatch, spec, kind: str) -> dict:
-    monkeypatch.setenv(SCAN_KERNEL_ENV, kind)
-    return execute_task(spec, seed=1017)
-
-
 @pytest.mark.parametrize("task_name", sorted(RUNNER_TASKS))
 def test_runner_artifacts_byte_identical(task_name, monkeypatch):
     """Canonical artifact JSON is byte-for-byte kernel-independent."""
     spec = RUNNER_TASKS[task_name]
-    payloads = {
-        kind: run_with_kernel(monkeypatch, spec, kind) for kind in KERNELS
-    }
+    payloads = {"batch": execute_task(spec, seed=1017)}
+    monkeypatch.setattr(repro.mem.physmem, "BatchScanKernel",
+                        ScalarScanKernel)
+    assert PhysicalMemory(8).scan_kernel_kind == "scalar"
+    payloads["scalar"] = execute_task(spec, seed=1017)
     assert canonical_json(payloads["scalar"]) == canonical_json(
         payloads["batch"]
     )
@@ -256,38 +245,3 @@ def test_sanitized_runs_are_identical_and_audit_clean(engine_name):
     # Identical ledgers, not merely both clean: the sanitizer saw the
     # same accesses in the same quantities under either kernel.
     assert audits["scalar"] == audits["batch"]
-
-
-# ----------------------------------------------------------------------
-# Selection plumbing
-# ----------------------------------------------------------------------
-
-
-def test_spec_and_env_selection(monkeypatch):
-    monkeypatch.delenv(SCAN_KERNEL_ENV, raising=False)
-    assert PhysicalMemory(8).scan_kernel_kind == "batch"
-    assert PhysicalMemory(8, scan_kernel="scalar").scan_kernel_kind == "scalar"
-    monkeypatch.setenv(SCAN_KERNEL_ENV, "scalar")
-    assert PhysicalMemory(8).scan_kernel_kind == "scalar"
-    assert PhysicalMemory(8, scan_kernel="batch").scan_kernel_kind == "batch"
-    monkeypatch.setenv(SCAN_KERNEL_ENV, "bogus")
-    assert PhysicalMemory(8).scan_kernel_kind == "batch"
-    with pytest.raises(ValueError):
-        PhysicalMemory(8, scan_kernel="simd")
-
-
-def test_batch_kernel_on_legacy_store_is_scalar_equivalent():
-    legacy = PhysicalMemory(RAW_FRAMES, frame_store="legacy",
-                            scan_kernel="batch")
-    columnar = PhysicalMemory(RAW_FRAMES, scan_kernel="batch")
-    assert legacy.scan_kernel.backend == "scalar"
-    for physmem in (legacy, columnar):
-        physmem.write(1, tagged_content("legacy", 1))
-        physmem.write(2, tagged_content("legacy", 1))
-    assert legacy.scan_kernel.zero_frames(PROBE_PFNS) == (
-        columnar.scan_kernel.zero_frames(PROBE_PFNS)
-    )
-    assert list(legacy.scan_kernel.group_by_content(PROBE_PFNS).values()) == (
-        list(columnar.scan_kernel.group_by_content(PROBE_PFNS).values())
-    )
-    assert legacy.digests_many(PROBE_PFNS) == columnar.digests_many(PROBE_PFNS)

@@ -41,13 +41,18 @@ type_op = st.tuples(
 )
 
 
-@pytest.mark.parametrize("frame_store", ["legacy", "columnar"])
+#: The one store, kept as a parameter so the test id names what it
+#: exercises (``physmem.store_kind``).
+STORES = ["columnar"]
+
+
+@pytest.mark.parametrize("store", STORES)
 @given(ops=st.lists(type_op, min_size=1, max_size=300))
-def test_counters_match_recount_under_random_retype(frame_store, ops):
-    """frames_in_use/type_histogram equal a full recount at every step
-    (the columnar accessors are counter-backed; the legacy ones keep the
-    historical recount — both must agree with the ground truth)."""
-    physmem = PhysicalMemory(FRAMES, frame_store=frame_store)
+def test_counters_match_recount_under_random_retype(store, ops):
+    """frames_in_use/type_histogram (counter-backed) equal a full
+    recount at every step."""
+    physmem = PhysicalMemory(FRAMES)
+    assert physmem.store_kind == store
     for pfn, frame_type in ops:
         physmem.set_frame_type(pfn, frame_type)
         in_use, histogram = recount(physmem)

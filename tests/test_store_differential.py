@@ -1,21 +1,24 @@
 """Differential proof that the columnar frame store is transparent.
 
-The columnar backend changes the *representation* of frame contents
-(interned content ids over a hash-consed arena) but must not change a
-single observable of the simulation: simulated time, merge behaviour,
-attack verdicts and runner artifacts have to be byte-identical to the
-legacy one-payload-per-frame store.  Four layers pin that down:
+Frame contents live in a column of interned content ids over a
+hash-consed arena.  That representation replaced one ``bytes`` payload
+per frame, and must not change a single observable of the simulation:
+simulated time, merge behaviour, attack verdicts and runner artifacts
+have to be byte-identical to what the one-payload-per-frame store
+produced.  Four layers pin that down:
 
 * lockstep raw :class:`~repro.mem.physmem.PhysicalMemory` operation
-  sequences against both backends, comparing every observable after
-  every operation;
-* full kernels under every fusion engine running a scripted
-  duplicate-heavy workload, checkpointing clock, savings, samples and
-  frame layout;
+  sequences against :class:`ReferenceMemory`, a one-payload-per-frame
+  model, comparing every observable after every operation;
+* full kernels under every fusion engine running the scripted
+  duplicate-heavy workload, whose checkpoint sequence (clock, savings,
+  samples, frame layout) must hash to the pins both stores produced;
 * the runner: ``execute_task`` payloads (experiments and Table 1
-  attack cells) rendered to canonical JSON under each backend;
-* FrameSan-sanitized runs, which must also be identical — and end with
+  attack cells, verdicts included) must hash to their pins;
+* FrameSan-sanitized runs, which must hit the same pins — and end with
   a clean audit, including the arena accounting cross-check.
+
+The pins live in ``tests/test_payload_digests.py``.
 """
 
 from __future__ import annotations
@@ -23,22 +26,107 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.metrics import take_sample
-from repro.kernel.kernel import Kernel
-from repro.mem.content import tagged_content
-from repro.mem.physmem import FRAME_STORE_ENV, PhysicalMemory, FrameType
-from repro.params import MachineSpec, MS, PAGE_SIZE, SECOND
-from repro.runner import TaskSpec, canonical_json, execute_task
+from repro.mem.content import (
+    PageContent,
+    ZERO_PAGE,
+    content_digest,
+    flip_bit,
+    tagged_content,
+)
+from repro.mem.physmem import PhysicalMemory, FrameType
+from repro.params import PAGE_SIZE
 
 from tests.test_fingerprint_differential import ENGINES
-
-STORES = ("legacy", "columnar")
+from tests.test_payload_digests import (
+    CHANGE_POLICY,
+    CHECKPOINT_PINNED,
+    RUNNER_PINNED,
+    RUNNER_TASKS,
+    build_kernel,
+    checkpoint_digest,
+    runner_payload_digest,
+)
 
 # ----------------------------------------------------------------------
 # Layer 1: lockstep raw operation sequences
 # ----------------------------------------------------------------------
 
 RAW_FRAMES = 24
+
+
+class ReferenceMemory:
+    """One ``bytes`` payload per frame: the oracle for the content column.
+
+    Implements just the :class:`PhysicalMemory` surface the lockstep
+    drives and observes, the obvious way — full recounts, per-call
+    sorts, one blake2b per digest.
+    """
+
+    def __init__(self, num_frames: int) -> None:
+        self.num_frames = num_frames
+        self._contents: list[PageContent] = [ZERO_PAGE] * num_frames
+        self._versions = [0] * num_frames
+        self._generations = [0] * num_frames
+        self._types = [FrameType.FREE] * num_frames
+        self._rmap: dict[int, set[tuple[int, int]]] = {}
+        self.mutation_epoch = 0
+
+    def _mutated(self, pfn: int) -> None:
+        self._generations[pfn] += 1
+        self.mutation_epoch += 1
+
+    def write(self, pfn: int, content: PageContent) -> None:
+        self._contents[pfn] = content
+        self._versions[pfn] += 1
+        self._mutated(pfn)
+
+    def copy(self, src: int, dst: int) -> None:
+        self._contents[dst] = self._contents[src]
+        self._versions[dst] += 1
+        self._mutated(dst)
+
+    def corrupt_bit(self, pfn: int, byte_offset: int, bit: int) -> None:
+        self._contents[pfn] = flip_bit(self._contents[pfn], byte_offset, bit)
+        self._mutated(pfn)
+
+    def set_frame_type(self, pfn: int, frame_type: FrameType) -> None:
+        self._types[pfn] = frame_type
+
+    def rmap_add(self, pfn: int, pid: int, vaddr: int) -> None:
+        self._rmap.setdefault(pfn, set()).add((pid, vaddr))
+
+    def rmap_remove(self, pfn: int, pid: int, vaddr: int) -> None:
+        self._rmap[pfn].remove((pid, vaddr))
+        if not self._rmap[pfn]:
+            del self._rmap[pfn]
+
+    def digest(self, pfn: int) -> int:
+        return content_digest(self._contents[pfn])
+
+    def digests_many(self, pfns: list[int]) -> list[int]:
+        return [self.digest(pfn) for pfn in pfns]
+
+    def contents_snapshot(self) -> list[PageContent]:
+        return list(self._contents)
+
+    def version(self, pfn: int) -> int:
+        return self._versions[pfn]
+
+    def generation(self, pfn: int) -> int:
+        return self._generations[pfn]
+
+    def frames_in_use(self) -> int:
+        return sum(1 for t in self._types if t is not FrameType.FREE)
+
+    def type_histogram(self) -> dict[FrameType, int]:
+        histogram = {frame_type: 0 for frame_type in FrameType}
+        for frame_type in self._types:
+            histogram[frame_type] += 1
+        return histogram
+
+    def mapped_frames(self):
+        return iter(sorted(self._rmap))
+
 
 raw_op = st.one_of(
     st.tuples(st.just("write"), st.integers(0, RAW_FRAMES - 1),
@@ -75,12 +163,12 @@ def observables(physmem: PhysicalMemory) -> tuple:
 )
 @given(ops=st.lists(raw_op, min_size=1, max_size=100))
 def test_raw_lockstep(ops):
-    """Both backends expose identical observables after every op."""
-    legacy = PhysicalMemory(RAW_FRAMES, frame_store="legacy")
-    columnar = PhysicalMemory(RAW_FRAMES, frame_store="columnar")
+    """The store and the reference model agree after every op."""
+    reference = ReferenceMemory(RAW_FRAMES)
+    columnar = PhysicalMemory(RAW_FRAMES)
     rmapped: set[tuple[int, int]] = set()
     for action, a, b in ops:
-        for physmem in (legacy, columnar):
+        for physmem in (reference, columnar):
             if action == "write":
                 physmem.write(a, tagged_content("diff", b))
             elif action == "copy":
@@ -97,135 +185,59 @@ def test_raw_lockstep(ops):
         if action == "rmap":
             rmapped.symmetric_difference_update({(a, b)})
         if action == "digest":
-            assert legacy.digest(a) == columnar.digest(a)
-        assert observables(legacy) == observables(columnar)
+            assert reference.digest(a) == columnar.digest(a)
+        assert observables(reference) == observables(columnar)
 
     # Full-sweep digest parity, then cached re-reads stay in parity.
     for pfn in range(RAW_FRAMES):
-        assert legacy.digest(pfn) == columnar.digest(pfn)
-        assert legacy.digest(pfn) == columnar.digest(pfn)
-    # Batch API agrees with the per-frame path on both backends.
+        assert reference.digest(pfn) == columnar.digest(pfn)
+        assert reference.digest(pfn) == columnar.digest(pfn)
+    # The batch API agrees with the per-frame path.
     pfns = list(range(RAW_FRAMES)) * 2
-    assert legacy.digests_many(pfns) == columnar.digests_many(pfns)
+    assert reference.digests_many(pfns) == columnar.digests_many(pfns)
 
 
 # ----------------------------------------------------------------------
 # Layer 2: full kernels under every engine, optionally sanitized
 # ----------------------------------------------------------------------
 
-NUM_PROCS = 2
-PAGES_PER_PROC = 12
 
-
-def build_kernel(engine_name: str, store: str, sanitize: bool) -> Kernel:
-    spec = MachineSpec(total_frames=1024, seed=1017, frame_store=store)
-    kernel = Kernel(spec, sanitize=sanitize or None)
-    kernel.attach_fusion(ENGINES[engine_name]())
-    return kernel
-
-
-def scripted_workload(kernel: Kernel):
-    """Deterministic duplicate-heavy run; yields at each checkpoint."""
-    processes = [kernel.create_process(f"p{i}") for i in range(NUM_PROCS)]
-    vmas = [p.mmap(PAGES_PER_PROC, mergeable=True) for p in processes]
-    for process, vma in zip(processes, vmas):
-        for index in range(PAGES_PER_PROC):
-            process.write(
-                vma.start + index * PAGE_SIZE, tagged_content("seed", index % 4)
-            )
-    yield "seeded"
-    kernel.idle(300 * MS)  # scan daemons merge duplicates
-    yield "merged"
-    # Writes break some merges (CoW / unmerge paths), flips hit others.
-    for step in range(6):
-        process = processes[step % NUM_PROCS]
-        vaddr = vmas[step % NUM_PROCS].start + (step % PAGES_PER_PROC) * PAGE_SIZE
-        process.write(vaddr, tagged_content("post", step))
-        kernel.idle(60 * MS)
-        yield f"write-{step}"
-    walk = processes[0].address_space.page_table.walk(vmas[0].start)
-    if walk is not None:
-        kernel.physmem.corrupt_bit(walk.frame_for(vmas[0].start), 100, 3)
-    kernel.idle(SECOND)
-    yield "settled"
-
-
-def checkpoint(kernel: Kernel) -> tuple:
-    physmem = kernel.physmem
-    sample = take_sample(kernel)
-    return (
-        kernel.clock.now,
-        kernel.fusion.saved_frames(),
-        (sample.t_ns, sample.frames_in_use, sample.saved_frames,
-         sample.huge_pages),
-        physmem.contents_snapshot(),
-        physmem.type_histogram(),
-        list(physmem.mapped_frames()),
-        [physmem.refcount(pfn) for pfn in range(physmem.num_frames)],
+def assert_checkpoints_pinned(kernel, engine_name: str) -> None:
+    digest = checkpoint_digest(kernel)
+    assert digest == CHECKPOINT_PINNED[engine_name], (
+        f"{engine_name} scripted-workload checkpoints changed: {digest} != "
+        f"{CHECKPOINT_PINNED[engine_name]}. {CHANGE_POLICY}"
     )
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
 def test_engine_runs_are_identical_across_stores(engine_name):
-    """Same engine, same seed, same workload: every checkpoint equal."""
-    kernels = {s: build_kernel(engine_name, s, sanitize=False) for s in STORES}
-    runs = {s: scripted_workload(kernels[s]) for s in STORES}
-    for labels in zip(*runs.values()):
-        assert labels[0] == labels[1]
-        legacy_state = checkpoint(kernels["legacy"])
-        columnar_state = checkpoint(kernels["columnar"])
-        assert legacy_state == columnar_state, (
-            f"{engine_name} diverged at checkpoint {labels[0]!r}"
-        )
+    """Same engine, same seed, same workload: every checkpoint equal to
+    what the one-payload-per-frame store produced."""
+    assert_checkpoints_pinned(build_kernel(engine_name), engine_name)
 
 
 @pytest.mark.parametrize("engine_name", ["ksm", "vusion"])
 def test_sanitized_runs_are_identical_and_audit_clean(engine_name):
-    """FrameSan on: still lockstep-identical, and the end-of-run audit
+    """FrameSan on: still the same checkpoints, and the end-of-run audit
     (including the arena accounting cross-check) is clean."""
-    kernels = {s: build_kernel(engine_name, s, sanitize=True) for s in STORES}
-    runs = {s: scripted_workload(kernels[s]) for s in STORES}
-    for _labels in zip(*runs.values()):
-        assert checkpoint(kernels["legacy"]) == checkpoint(kernels["columnar"])
-    for kernel in kernels.values():
-        assert kernel.sanitizer is not None
-        kernel.sanitizer.assert_clean(kernel.fusion)
+    kernel = build_kernel(engine_name, sanitize=True)
+    assert_checkpoints_pinned(kernel, engine_name)
+    assert kernel.sanitizer is not None
+    kernel.sanitizer.assert_clean(kernel.fusion)
 
 
 # ----------------------------------------------------------------------
 # Layers 3 and 4: runner artifacts and Table 1 attack verdicts
 # ----------------------------------------------------------------------
 
-#: Fast experiment coverage plus one Table 1 cell per engine family.
-RUNNER_TASKS = {
-    "fig3": TaskSpec.experiment("fig3"),
-    "fig5": TaskSpec.experiment("fig5"),
-    "cow-timing@vusion": TaskSpec.attack("cow-timing", target="vusion"),
-    "flip-feng-shui@ksm": TaskSpec.attack("flip-feng-shui", target="ksm"),
-    "page-sharing@wpf": TaskSpec.attack("page-sharing", target="wpf"),
-}
-
-
-def run_with_store(monkeypatch, spec: TaskSpec, store: str) -> dict:
-    monkeypatch.setenv(FRAME_STORE_ENV, store)
-    return execute_task(spec, seed=1017)
-
 
 @pytest.mark.parametrize("task_name", sorted(RUNNER_TASKS))
-def test_runner_artifacts_byte_identical(task_name, monkeypatch):
-    """Canonical artifact JSON is byte-for-byte backend-independent."""
-    spec = RUNNER_TASKS[task_name]
-    payloads = {
-        store: run_with_store(monkeypatch, spec, store) for store in STORES
-    }
-    assert canonical_json(payloads["legacy"]) == canonical_json(
-        payloads["columnar"]
+def test_runner_artifacts_byte_identical(task_name):
+    """Canonical artifact JSON — Table 1 verdicts included — is
+    byte-for-byte what the one-payload-per-frame store produced."""
+    digest = runner_payload_digest(task_name)
+    assert digest == RUNNER_PINNED[task_name], (
+        f"{task_name} payload digest changed: {digest} != "
+        f"{RUNNER_PINNED[task_name]}. {CHANGE_POLICY}"
     )
-    if spec.kind == "attack":
-        # The Table 1 verdict itself, called out explicitly: page fusion
-        # attack outcomes cannot depend on the content representation.
-        assert payloads["legacy"]["success"] == payloads["columnar"]["success"]
-        assert (
-            payloads["legacy"]["mitigated_by"]
-            == payloads["columnar"]["mitigated_by"]
-        )
