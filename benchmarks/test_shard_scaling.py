@@ -4,18 +4,19 @@ Two measurements, one contract (``--shards N`` never changes a byte):
 
 * **Pool-concurrency gate** — four shards whose service time is
   dominated by an injected, calibrated sleep run through the *real*
-  :class:`~repro.runner.shardpool.ShardPool` machinery, serial versus
-  four workers.  Like ``test_runner_speedup.py`` this measures the
-  pool itself (spawn, beacon drain, supervision, recombination)
-  independently of host core count, so the ≥3x gate holds on any
-  runner.
+  process pool (:class:`~repro.runner.shardpool.ShardPool` on the
+  shared supervisor), serial versus four workers.  Like
+  ``test_runner_speedup.py`` this measures the pool itself (spawn,
+  beacon drain, supervision, recombination) independently of host
+  core count, so the ≥3x gate holds on any runner.
 * **Real 1M-frame fleet** — the actual paper-scale scenario: a
   ``2^20``-frame machine split into four NUMA-style shards with a
-  fleet streaming through it.  Byte-identity between the serial
-  reference and the 4-worker pool is asserted unconditionally; the
-  ≥3x *real* wall-clock gate applies when the host has at least four
-  CPUs (a single-core container can't physically exhibit it).
-  ``REPRO_FULL=1`` quadruples the fleet.
+  fleet streaming through it, serial versus ``min(cpus, 4)`` workers.
+  Byte-identity between the two is asserted unconditionally; on any
+  host with at least two CPUs the *real* wall-clock speedup must reach
+  ``0.75 × workers`` (1.5x on two CPUs, 3x on four or more).  A
+  single-core host can't physically exhibit it and only records the
+  timing.  ``REPRO_FULL=1`` quadruples the fleet.
 
 Results land in ``BENCH_shard_scaling.json`` at the repository root.
 """
@@ -48,7 +49,8 @@ WORKERS = 4
 #: real (tiny) shard runs stays a small fraction of one service.
 SHARD_SERVICE_S = 2.0
 POOL_GATE_MIN_SPEEDUP = 3.0
-REAL_GATE_MIN_SPEEDUP = 3.0
+#: Real-work floor per worker: 1.5x on two workers, 3x on four.
+REAL_GATE_SPEEDUP_PER_WORKER = 0.75
 
 
 def _payload(result) -> str:
@@ -149,13 +151,15 @@ def fleet_1m_spec() -> ScenarioSpec:
 def test_shard_scaling_1m_frames():
     spec = fleet_1m_spec()
     cpus = os.cpu_count() or 1
+    workers = min(cpus, SHARDS)
+    min_speedup = REAL_GATE_SPEEDUP_PER_WORKER * workers
 
     started = time.perf_counter()
     serial = run_sharded_serial(spec)
     serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    pooled = run_sharded(spec, config=ShardPoolConfig(workers=WORKERS))
+    pooled = run_sharded(spec, config=ShardPoolConfig(workers=workers))
     parallel_s = time.perf_counter() - started
 
     assert _payload(pooled) == _payload(serial)
@@ -163,11 +167,11 @@ def test_shard_scaling_1m_frames():
     assert exchange["rounds"] >= 1
 
     speedup = serial_s / parallel_s
-    gated = cpus >= WORKERS
+    gated = workers >= 2
     _merge_results("fleet_1m", {
         "frames": spec.frames,
         "shards": SHARDS,
-        "workers": WORKERS,
+        "workers": workers,
         "vms": spec.fleet.vms,
         "booted_pages": serial.totals["booted_pages"],
         "exchanged_cids": exchange["exchanged_cids"],
@@ -177,12 +181,12 @@ def test_shard_scaling_1m_frames():
         "speedup": round(speedup, 2),
         "host_cpus": cpus,
         "real_gate_applied": gated,
-        "min_speedup": REAL_GATE_MIN_SPEEDUP,
+        "min_speedup": min_speedup,
     })
-    print(f"\n1M-frame fleet: serial {serial_s:.1f}s, {WORKERS} workers "
+    print(f"\n1M-frame fleet: serial {serial_s:.1f}s, {workers} workers "
           f"{parallel_s:.1f}s ({speedup:.2f}x on {cpus} cpu(s))")
     if gated:
-        assert speedup >= REAL_GATE_MIN_SPEEDUP, (
+        assert speedup >= min_speedup, (
             f"sharded 1M-frame fleet only {speedup:.2f}x faster "
             f"({parallel_s:.1f}s vs {serial_s:.1f}s on {cpus} cpus)"
         )

@@ -14,8 +14,11 @@ plan slice, machine seed, and every simulated charge derive from the
 spec alone — and the recombination is a pure, ``(shard, pfn)``-ordered
 fold over the shard results.  Any execution (one process, N workers,
 a crashed-and-retried worker) therefore produces byte-identical
-samples, totals and exchange telemetry; the parallel entry point lives
-in :mod:`repro.runner.shardpool` and proves exactly that contract.
+samples, totals and exchange telemetry.  The parallel entry point,
+:func:`repro.runner.shardpool.run_sharded`, relies on exactly that
+contract: it runs shards as items of the runner's process pool, keeps
+every finished shard across worker failures, and reruns only the
+unfinished ones.
 
 ``shards == 1`` is, by construction, the plain serial
 :class:`~repro.harness.fleet.FleetDriver` — same machine, same plan,

@@ -5,13 +5,14 @@ The public surface every sweep uses:
 * :class:`TaskSpec` — picklable description of one experiment, one
   attack-vs-engine cell, or a self-test task.
 * :func:`expand_selectors` — CLI selector grammar -> task list.
-* :func:`run_tasks` / :class:`RunnerConfig` — the multiprocessing pool
-  with per-task timeouts, bounded retry and serial degradation.
+* :func:`run_tasks` / :class:`RunnerConfig` — task sweeps on the one
+  process pool (long-lived workers, a progress watchdog, bounded
+  retry and in-process degradation; see :mod:`repro.runner.pool`).
 * :func:`derive_seed` — deterministic per-task seeding.
 * :func:`resolve_jobs` — the one worker-count rule (explicit flag,
   then environment, then default) shared by every CLI entry point.
-* :func:`run_sharded` / :class:`ShardPoolConfig` — intra-scenario
-  shard workers (see :mod:`repro.runner.shardpool`).
+* :func:`run_sharded` / :class:`ShardPoolConfig` — one scenario's
+  shards as items of the same pool (see :mod:`repro.runner.shardpool`).
 * :func:`write_artifacts` — JSON artifacts under ``results/``.
 * :class:`ProgressPrinter` and the event dataclasses in
   :mod:`repro.runner.progress`.

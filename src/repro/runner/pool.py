@@ -1,22 +1,29 @@
-"""Parallel fault-tolerant execution of task specs.
+"""One fault-tolerant process pool for every parallel run.
 
-Each task attempt runs in its own worker process (simulations are
-long-lived and CPU-bound, so per-task process overhead is noise), with
-at most ``jobs`` attempts in flight.  The parent supervises:
+:class:`Supervisor` starts up to ``jobs`` long-lived worker processes
+and hands each one item at a time over a duplex pipe.  It runs task
+sweeps (:class:`TaskPool`, items are :func:`execute_task` calls) and
+the shards of one scenario (:class:`~repro.runner.shardpool.ShardPool`,
+items are shard runs).  The parent supervises:
 
-* **Per-task timeout** — a hung worker is killed and the attempt
-  counts as ``timeout``.
+* **Progress watchdog** — an item fails as ``timeout`` once its worker
+  has been silent for ``timeout_s``.  Task workers send nothing until
+  they finish, so for tasks this is a per-attempt deadline; shard
+  workers stream round beacons, each of which resets the clock.
 * **Bounded retry with backoff** — crashed (bad exit code, no reply),
-  timed-out and erroring attempts are requeued up to ``max_retries``
-  times with exponential backoff.
+  timed-out and erroring items are requeued up to ``max_retries``
+  times, attempt ``n`` waiting ``retry_backoff_s * 2**n``.  A dead or
+  killed worker is replaced by a fresh one.
 * **Graceful degradation** — if worker processes cannot be created at
-  all (sandboxed environments, exhausted pids), the remaining tasks
-  run serially in-process and the run still completes.
+  all (sandboxed environments, exhausted pids, a daemonic parent), the
+  unfinished items run in-process with what is left of their retry
+  budget, and the run still completes.
 
-Determinism: a task's payload is a pure function of ``(spec, seed)``
-and seeds are derived from ``(root_seed, task_id)`` alone, so results
-are byte-identical for any ``jobs`` value and any retry history.
-Results are returned in submission order, never completion order.
+Determinism: an item's result is a pure function of the item (a
+task's payload of ``(spec, seed)``, with seeds derived from
+``(root_seed, task_id)`` alone), so results are byte-identical for any
+``jobs`` value, any worker assignment and any retry history.  Results
+are returned in submission order, never completion order.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ import multiprocessing
 import os
 import time
 import traceback
+from contextlib import suppress
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 from repro.runner.progress import (
     PoolDegraded,
@@ -123,31 +132,49 @@ class TaskResult:
         return self.payload.get("checks_pass")
 
 
+def _failure_detail(exc: BaseException) -> str:
+    """One failure report for pooled and in-process items alike.
+
+    Structured checker errors (FrameSan, simlint) carry a one-line
+    ``diagnostic`` with frame provenance; lead with it so the
+    supervisor can surface it without parsing the traceback.
+    """
+    detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+    diagnostic = getattr(exc, "diagnostic", None)
+    return f"{diagnostic}\n{detail}" if diagnostic else detail
+
+
 @worker_entry
-def _worker_main(conn, spec: TaskSpec, seed: int, attempt: int,
-                 shard_workers: int = 1) -> None:
-    """Child entry point: run the task, ship the payload back, exit."""
+def _worker_main(conn, run_item) -> None:
+    """Child entry point: run items from the parent until it sends None.
+
+    ``run_item(item, progress)`` may call ``progress(message)`` to tell
+    the parent it is alive (each message resets the item's watchdog);
+    its return value is the item's result.
+    """
+
+    def progress(message) -> None:
+        conn.send(("progress", message))
+
     try:
-        payload = execute_task(spec, seed, attempt=attempt,
-                               shard_workers=shard_workers)
-        conn.send(("ok", payload, None))
-    except BaseException as exc:  # noqa: BLE001 - report, parent decides
-        # Structured checker errors (FrameSan, simlint) carry a one-line
-        # ``diagnostic`` with frame provenance; lead with it so the
-        # supervisor can surface it without parsing the traceback.
-        diagnostic = getattr(exc, "diagnostic", None)
-        detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        if diagnostic:
-            detail = f"{diagnostic}\n{detail}"
-        try:
-            conn.send(("error", None, detail))
-        except Exception:
-            pass
+        while (item := conn.recv()) is not None:
+            try:
+                result = run_item(item, progress)
+            except Exception as exc:  # noqa: BLE001 - report, parent decides
+                conn.send(("error", _failure_detail(exc)))
+                continue
+            conn.send(("ok", result))
+    except (EOFError, OSError):
+        pass  # the parent is gone
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
+
+
+def _run_task(item: tuple, progress) -> dict:
+    """Worker side of a task item (tasks report no progress)."""
+    spec, seed, attempt, shard_workers = item
+    return execute_task(spec, seed, attempt=attempt,
+                        shard_workers=shard_workers)
 
 
 #: Markers of structured checker diagnostics (see repro.check): the one
@@ -168,35 +195,237 @@ def extract_diagnostic(detail: str | None) -> str | None:
 
 
 @dataclass
-class _Attempt:
+class _Item:
     index: int
-    attempt: int
-    process: object
-    conn: object
-    started: float
-    deadline: float | None
+    attempt: int = 0
+    ready_at: float = 0.0
 
 
 @dataclass
-class _Pending:
-    index: int
-    attempt: int
-    ready_at: float
+class _Worker:
+    process: object
+    conn: object
+    item: _Item | None = None
+    last_heard: float = 0.0
 
 
 class _PoolBroken(Exception):
-    """Raised internally when worker processes cannot be created."""
+    """Worker processes cannot be created, or shards kept failing."""
 
 
-class TaskPool:
-    """Supervisor for one sweep (see module docstring)."""
+class Supervisor:
+    """Long-lived workers over ``count`` indexed items (module docstring).
+
+    ``config`` supplies ``timeout_s``, ``max_retries``,
+    ``retry_backoff_s`` and ``start_method``; ``run_item`` is the
+    worker-side callable, fixed per worker at spawn so it never has to
+    be pickled per item.  Subclasses say what an item is through the
+    hooks below.
+    """
+
+    def __init__(self, count: int, *, jobs: int, config, run_item,
+                 on_event=None) -> None:
+        self.jobs = max(1, jobs)
+        self.config = config
+        self.run_item = run_item
+        self.on_event = on_event or (lambda event: None)
+        self._pending = [_Item(index) for index in range(count)]
+        #: Per-item failure history ("attempt N: outcome: first line").
+        self._history: dict[int, list[str]] = {}
+
+    # -- hooks ----------------------------------------------------------
+    def _message(self, item: _Item):
+        """What the worker's ``run_item`` receives for ``item``."""
+        raise NotImplementedError
+
+    def _execute(self, item: _Item):
+        """Run ``item`` in this process (the degraded mode)."""
+        raise NotImplementedError
+
+    def _started(self, item: _Item) -> None:
+        pass
+
+    def _progress(self, item: _Item, message) -> None:
+        pass
+
+    def _succeeded(self, item: _Item, result, mode: str) -> None:
+        raise NotImplementedError
+
+    def _retrying(self, item: _Item, outcome: str, detail: str,
+                  delay: float) -> None:
+        pass
+
+    def _gave_up(self, item: _Item, outcome: str, detail: str,
+                 mode: str) -> None:
+        raise NotImplementedError
+
+    # -- scheduling -----------------------------------------------------
+    def _emit(self, event) -> None:
+        self.on_event(event)
+
+    def _next_due(self, now: float) -> _Item | None:
+        due = [item for item in self._pending if item.ready_at <= now]
+        return min(due, key=lambda item: item.index, default=None)
+
+    def _failed(self, item: _Item, outcome: str, detail: str,
+                mode: str) -> None:
+        """The one retry rule: requeue with backoff or give up."""
+        summary = (detail or outcome).strip()
+        first_line = summary.splitlines()[0] if summary else outcome
+        self._history.setdefault(item.index, []).append(
+            f"attempt {item.attempt + 1}: {outcome}: {first_line}"
+        )
+        if item.attempt >= self.config.max_retries:
+            self._gave_up(item, outcome, detail, mode)
+            return
+        delay = self.config.retry_backoff_s * (2 ** item.attempt)
+        self._retrying(item, outcome, detail, delay)
+        self._pending.append(_Item(item.index, item.attempt + 1,
+                                   time.monotonic() + delay))
+
+    # -- pool mode ------------------------------------------------------
+    def _spawn(self, ctx) -> _Worker:
+        """Start one long-lived worker; raises on pool-level failure."""
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        process = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.run_item),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process=process, conn=parent_conn)
+
+    @staticmethod
+    def _kill(worker: _Worker) -> None:
+        """Stop a worker: an idle one is asked to exit, a busy one killed."""
+        if worker.item is None:
+            with suppress(Exception):
+                worker.conn.send(None)
+                worker.process.join(timeout=1)
+        with suppress(Exception):
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=1)
+                if worker.process.is_alive():
+                    worker.process.kill()
+                    worker.process.join(timeout=1)
+        with suppress(Exception):
+            worker.conn.close()
+
+    def _run_pool(self) -> None:
+        """Run every pending item on workers; raises :class:`_PoolBroken`
+        when no worker can be started.  Items still in flight then go
+        back to the pending list at the attempt they were on."""
+        try:
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(
+                self.config.start_method
+                or ("fork" if "fork" in methods else "spawn")
+            )
+        except Exception as exc:  # unknown start method, broken platform
+            raise _PoolBroken(f"no multiprocessing context: {exc}") from exc
+        workers: list[_Worker] = []
+        try:
+            while self._pending or any(w.item is not None for w in workers):
+                self._dispatch(ctx, workers)
+                wait([w.conn for w in workers]
+                     + [w.process.sentinel for w in workers], timeout=0.01)
+                for worker in list(workers):
+                    if not self._poll(worker):
+                        workers.remove(worker)
+                        self._kill(worker)
+        finally:
+            for worker in workers:
+                if worker.item is not None:
+                    self._pending.append(worker.item)
+                self._kill(worker)
+
+    def _dispatch(self, ctx, workers: list[_Worker]) -> None:
+        """Hand due items, lowest index first, to idle or fresh workers."""
+        now = time.monotonic()
+        while (item := self._next_due(now)) is not None:
+            worker = next((w for w in workers if w.item is None), None)
+            if worker is None:
+                if len(workers) >= self.jobs:
+                    return
+                try:
+                    worker = self._spawn(ctx)
+                except Exception as exc:
+                    raise _PoolBroken(f"cannot start worker: {exc}") from exc
+                workers.append(worker)
+            self._pending.remove(item)
+            self._started(item)
+            worker.item, worker.last_heard = item, now
+            with suppress(OSError):  # a dead worker shows in the next poll
+                worker.conn.send(self._message(item))
+
+    def _poll(self, worker: _Worker) -> bool:
+        """Pump one worker's pipe and watchdog; False once it must go."""
+        item = worker.item
+        while worker.conn.poll():
+            try:
+                kind, body = worker.conn.recv()
+            except (EOFError, OSError):
+                return self._lost(worker, "crashed",
+                                  "worker pipe closed mid-reply")
+            worker.last_heard = time.monotonic()
+            if kind == "progress":
+                self._progress(item, body)
+                continue
+            worker.item = None
+            if kind == "ok":
+                self._succeeded(item, body, "pool")
+            else:
+                self._failed(item, "error", body, "pool")
+            return True
+        if not worker.process.is_alive():
+            return self._lost(worker, "crashed",
+                              f"exit code {worker.process.exitcode}")
+        timeout = self.config.timeout_s
+        if (item is not None and timeout is not None
+                and time.monotonic() - worker.last_heard > timeout):
+            return self._lost(worker, "timeout",
+                              f"no message for {timeout}s")
+        return True
+
+    def _lost(self, worker: _Worker, outcome: str, detail: str) -> bool:
+        """A worker that must go: its item, if any, failed."""
+        if worker.item is not None:
+            self._failed(worker.item, outcome, detail, "pool")
+        return False
+
+    # -- in-process (forced or degraded) mode ---------------------------
+    def _run_inprocess(self) -> None:
+        """The pending items in this process: no crash isolation and no
+        watchdog, but the same retry rule and identical results."""
+        while self._pending:
+            now = time.monotonic()
+            item = self._next_due(now)
+            if item is None:
+                time.sleep(max(0.0, min(p.ready_at for p in self._pending)
+                               - now))
+                continue
+            self._pending.remove(item)
+            self._started(item)
+            try:
+                result = self._execute(item)
+            except Exception as exc:
+                self._failed(item, "error", _failure_detail(exc), "serial")
+                continue
+            self._succeeded(item, result, "serial")
+
+
+class TaskPool(Supervisor):
+    """The supervisor over one sweep's :func:`execute_task` items."""
 
     def __init__(self, tasks, *, root_seed: int = 1017,
                  config: RunnerConfig | None = None, on_event=None) -> None:
         self.tasks: list[TaskSpec] = list(tasks)
+        config = config or RunnerConfig()
+        super().__init__(len(self.tasks), jobs=config.jobs, config=config,
+                         run_item=_run_task, on_event=on_event)
         self.root_seed = root_seed
-        self.config = config or RunnerConfig()
-        self.on_event = on_event or (lambda event: None)
         self.seeds = [
             task.seed if task.seed is not None
             else derive_seed(root_seed, task.task_id)
@@ -204,48 +433,74 @@ class TaskPool:
         ]
         self._results: list[TaskResult | None] = [None] * len(self.tasks)
         self._first_started: dict[int, float] = {}
-        #: Per-task failure history ("attempt N: outcome: first line"),
-        #: folded into the final error when the retry budget runs out.
-        self._attempt_log: dict[int, list[str]] = {}
 
-    # -- event helpers --------------------------------------------------
-    def _emit(self, event) -> None:
-        self.on_event(event)
+    # -- public API -----------------------------------------------------
+    def run(self) -> list[TaskResult]:
+        started = time.monotonic()
+        self._emit(RunStarted(total=len(self.tasks), jobs=self.config.jobs,
+                              root_seed=self.root_seed))
+        if not self.config.force_serial:
+            try:
+                self._run_pool()
+            except _PoolBroken as exc:
+                self._emit(PoolDegraded(reason=str(exc)))
+        self._run_inprocess()
+        results = [result for result in self._results if result is not None]
+        ok = sum(1 for result in results if result.ok)
+        self._emit(RunCompleted(
+            total=len(results), ok=ok, failed=len(results) - ok,
+            duration_s=time.monotonic() - started,
+        ))
+        return results
 
-    def _finish(self, index: int, status: str, attempts: int,
-                payload=None, error=None, mode="pool") -> TaskResult:
+    # -- supervisor hooks -----------------------------------------------
+    def _message(self, item: _Item) -> tuple:
+        return (self.tasks[item.index], self.seeds[item.index],
+                item.attempt, self.config.shard_workers)
+
+    def _execute(self, item: _Item) -> dict:
+        return execute_task(self.tasks[item.index], self.seeds[item.index],
+                            attempt=item.attempt,
+                            shard_workers=self.config.shard_workers)
+
+    def _started(self, item: _Item) -> None:
+        self._first_started.setdefault(item.index, time.monotonic())
+        self._emit(TaskStarted(
+            task_id=self.tasks[item.index].task_id, index=item.index,
+            total=len(self.tasks), attempt=item.attempt,
+        ))
+
+    def _succeeded(self, item: _Item, result, mode: str) -> None:
+        self._finish(item, "ok", payload=result, mode=mode)
+
+    def _retrying(self, item: _Item, outcome: str, detail: str,
+                  delay: float) -> None:
+        self._emit(TaskRetrying(
+            task_id=self.tasks[item.index].task_id, attempt=item.attempt,
+            reason=outcome, delay_s=delay, detail=detail,
+        ))
+
+    def _gave_up(self, item: _Item, outcome: str, detail: str,
+                 mode: str) -> None:
+        self._finish(item, outcome, mode=mode,
+                     error=self._exhausted_error(item.index, outcome, detail))
+
+    # -- results --------------------------------------------------------
+    def _finish(self, item: _Item, status: str, *, mode: str,
+                payload=None, error=None) -> None:
+        index = item.index
         duration = time.monotonic() - self._first_started[index]
         result = TaskResult(
             spec=self.tasks[index], seed=self.seeds[index], status=status,
-            attempts=attempts, duration_s=duration, payload=payload,
+            attempts=item.attempt + 1, duration_s=duration, payload=payload,
             error=error, mode=mode,
         )
         self._results[index] = result
         self._emit(TaskFinished(
             task_id=result.task_id, index=index, total=len(self.tasks),
-            status=status, attempts=attempts, duration_s=duration,
+            status=status, attempts=result.attempts, duration_s=duration,
             checks_pass=result.checks_pass,
         ))
-        return result
-
-    def _note_started(self, index: int, attempt: int) -> None:
-        now = time.monotonic()
-        self._first_started.setdefault(index, now)
-        self._emit(TaskStarted(
-            task_id=self.tasks[index].task_id, index=index,
-            total=len(self.tasks), attempt=attempt,
-        ))
-
-    def _backoff(self, attempt: int) -> float:
-        return self.config.retry_backoff_s * (2 ** attempt)
-
-    def _note_failure(self, index: int, attempt: int, outcome: str,
-                      detail: str) -> None:
-        summary = (detail or outcome).strip()
-        first_line = summary.splitlines()[0] if summary else outcome
-        self._attempt_log.setdefault(index, []).append(
-            f"attempt {attempt + 1}: {outcome}: {first_line}"
-        )
 
     def _exhausted_error(self, index: int, outcome: str, detail: str) -> str:
         """Final error for a task that ran out of retries.
@@ -254,7 +509,7 @@ class TaskPool:
         last checker diagnostic (FrameSan/simlint) if one is buried in
         the traceback, then the full detail of the final attempt.
         """
-        history = self._attempt_log.get(index, [])
+        history = self._history.get(index, [])
         lines = [
             f"task '{self.tasks[index].task_id}' (seed {self.seeds[index]}) "
             f"gave up: {outcome} after {len(history)} attempt(s)"
@@ -266,200 +521,6 @@ class TaskPool:
         if detail:
             lines.append(detail)
         return "\n".join(lines)
-
-    # -- public API -----------------------------------------------------
-    def run(self) -> list[TaskResult]:
-        started = time.monotonic()
-        self._emit(RunStarted(total=len(self.tasks), jobs=self.config.jobs,
-                              root_seed=self.root_seed))
-        if self.config.force_serial:
-            self._run_serial(range(len(self.tasks)))
-        else:
-            try:
-                self._run_pool()
-            except _PoolBroken as exc:
-                self._emit(PoolDegraded(reason=str(exc)))
-                remaining = [i for i, r in enumerate(self._results)
-                             if r is None]
-                self._run_serial(remaining)
-        results = [result for result in self._results if result is not None]
-        ok = sum(1 for result in results if result.ok)
-        self._emit(RunCompleted(
-            total=len(results), ok=ok, failed=len(results) - ok,
-            duration_s=time.monotonic() - started,
-        ))
-        return results
-
-    # -- pool mode ------------------------------------------------------
-    def _context(self):
-        methods = multiprocessing.get_all_start_methods()
-        method = self.config.start_method or (
-            "fork" if "fork" in methods else "spawn"
-        )
-        return multiprocessing.get_context(method)
-
-    def _start_process(self, ctx, index: int, attempt: int) -> _Attempt:
-        """Launch one attempt; raises on pool-level failure."""
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.tasks[index], self.seeds[index], attempt,
-                  self.config.shard_workers),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        now = time.monotonic()
-        deadline = (now + self.config.timeout_s
-                    if self.config.timeout_s is not None else None)
-        return _Attempt(index=index, attempt=attempt, process=process,
-                        conn=parent_conn, started=now, deadline=deadline)
-
-    def _run_pool(self) -> None:
-        try:
-            ctx = self._context()
-        except Exception as exc:  # unknown start method, broken platform
-            raise _PoolBroken(f"no multiprocessing context: {exc}") from exc
-        jobs = max(1, self.config.jobs)
-        pending = [
-            _Pending(index=i, attempt=0, ready_at=0.0)
-            for i in range(len(self.tasks))
-        ]
-        running: list[_Attempt] = []
-        try:
-            while pending or running:
-                now = time.monotonic()
-                # Fill free slots with due tasks (submission order).
-                while len(running) < jobs and pending:
-                    due = [p for p in pending if p.ready_at <= now]
-                    if not due:
-                        break
-                    nxt = min(due, key=lambda p: (p.index, p.attempt))
-                    pending.remove(nxt)
-                    self._note_started(nxt.index, nxt.attempt)
-                    try:
-                        running.append(
-                            self._start_process(ctx, nxt.index, nxt.attempt)
-                        )
-                    except Exception as exc:
-                        raise _PoolBroken(
-                            f"cannot start worker: {exc}"
-                        ) from exc
-                progressed = self._reap(running, pending)
-                if not progressed:
-                    time.sleep(0.005)
-        finally:
-            for attempt in running:
-                self._kill(attempt)
-
-    def _reap(self, running: list[_Attempt], pending: list[_Pending]) -> bool:
-        """Collect finished/overdue attempts; True if anything changed."""
-        progressed = False
-        now = time.monotonic()
-        for attempt in list(running):
-            outcome = None
-            detail = ""
-            if attempt.conn.poll():
-                try:
-                    kind, payload, error = attempt.conn.recv()
-                except (EOFError, OSError):
-                    kind, payload, error = ("crashed", None,
-                                            "worker pipe closed mid-reply")
-                attempt.process.join(timeout=5)
-                if kind == "ok":
-                    self._finish(attempt.index, "ok", attempt.attempt + 1,
-                                 payload=payload)
-                    running.remove(attempt)
-                    progressed = True
-                    continue
-                outcome = "error" if kind == "error" else "crashed"
-                detail = error or ""
-            elif not attempt.process.is_alive():
-                outcome = "crashed"
-                detail = f"exit code {attempt.process.exitcode}"
-            elif attempt.deadline is not None and now > attempt.deadline:
-                outcome = "timeout"
-                detail = f"exceeded {self.config.timeout_s}s"
-                self._kill(attempt)
-            if outcome is None:
-                continue
-            running.remove(attempt)
-            progressed = True
-            self._kill(attempt)
-            self._note_failure(attempt.index, attempt.attempt, outcome, detail)
-            if attempt.attempt < self.config.max_retries:
-                delay = self._backoff(attempt.attempt)
-                self._emit(TaskRetrying(
-                    task_id=self.tasks[attempt.index].task_id,
-                    attempt=attempt.attempt, reason=outcome,
-                    delay_s=delay, detail=detail,
-                ))
-                pending.append(_Pending(
-                    index=attempt.index, attempt=attempt.attempt + 1,
-                    ready_at=time.monotonic() + delay,
-                ))
-            else:
-                self._finish(
-                    attempt.index, outcome, attempt.attempt + 1,
-                    error=self._exhausted_error(attempt.index, outcome, detail),
-                )
-        return progressed
-
-    @staticmethod
-    def _kill(attempt: _Attempt) -> None:
-        try:
-            if attempt.process.is_alive():
-                attempt.process.terminate()
-                attempt.process.join(timeout=1)
-                if attempt.process.is_alive():
-                    attempt.process.kill()
-                    attempt.process.join(timeout=1)
-        except Exception:
-            pass
-        try:
-            attempt.conn.close()
-        except Exception:
-            pass
-
-    # -- serial (degraded / forced) mode --------------------------------
-    def _run_serial(self, indices) -> None:
-        """In-process execution: no crash isolation, no timeouts, but
-        the same retry policy and identical payloads."""
-        for index in indices:
-            attempt = 0
-            while True:
-                self._note_started(index, attempt)
-                try:
-                    payload = execute_task(
-                        self.tasks[index], self.seeds[index],
-                        attempt=attempt,
-                        shard_workers=self.config.shard_workers,
-                    )
-                except Exception as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                    diagnostic = getattr(exc, "diagnostic", None)
-                    if diagnostic:
-                        detail = f"{diagnostic}\n{detail}"
-                    self._note_failure(index, attempt, "error", detail)
-                    if attempt < self.config.max_retries:
-                        delay = self._backoff(attempt)
-                        self._emit(TaskRetrying(
-                            task_id=self.tasks[index].task_id,
-                            attempt=attempt, reason="error",
-                            delay_s=delay, detail=detail,
-                        ))
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                    self._finish(
-                        index, "error", attempt + 1,
-                        error=self._exhausted_error(index, "error", detail),
-                        mode="serial",
-                    )
-                    break
-                self._finish(index, "ok", attempt + 1, payload=payload,
-                             mode="serial")
-                break
 
 
 def run_tasks(tasks, *, root_seed: int = 1017,

@@ -1,39 +1,33 @@
-"""Long-lived shard workers for one sharded scenario.
+"""The shards of one sharded scenario, run on the process pool.
 
-Where :mod:`repro.runner.pool` parallelizes *across* tasks, this pool
-parallelizes *inside* one: the ``spec.shards`` NUMA-style nodes of a
-scenario (see :mod:`repro.harness.shardfleet`) are dealt round-robin to
-``workers`` long-lived processes, each running its nodes to completion
-while streaming per-round beacons back to the supervisor.  The same
-failure machinery as the task pool applies:
+Where :class:`~repro.runner.pool.TaskPool` parallelizes *across*
+tasks, :class:`ShardPool` parallelizes *inside* one: the
+``spec.shards`` NUMA-style nodes of a scenario (see
+:mod:`repro.harness.shardfleet`) are the items of the same
+:class:`~repro.runner.pool.Supervisor`, handed one at a time to
+``workers`` long-lived processes that stream per-round beacons back.
+Watchdog, retry and worker replacement are the supervisor's; two
+things are shard-specific:
 
-* **Progress watchdog** — a worker that goes silent for ``timeout_s``
-  is killed and its unfinished shards requeue.
-* **Bounded retry** — crashed/hung/erroring workers get fresh
-  processes for their unfinished shards, up to ``max_retries`` times.
-  Finished shards are *kept*: a shard run is a pure function of
-  ``(spec, shard)``, so partial results from a failed pool attempt are
-  exactly what a retry would recompute.
-* **Serial degradation** — when the retry budget runs out (or no pool
-  can be built), the remaining shards run serially in-process and the
-  scenario still completes.
-
-Determinism: results are collected per shard and recombined by
-:func:`~repro.harness.shardfleet.combine_shard_results`, which is a
-pure fold in ``(shard, pfn)`` order — so ``--shards 1``, ``--shards
-4``, a retried worker and the degraded path all produce byte-identical
-artifacts.  :func:`run_sharded` is the one entry point every caller
-(fleet tasks, the CLI, the benchmarks) goes through.
+* **Finished shards are kept.**  A shard run is a pure function of
+  ``(spec, shard)``, so the pool raises only after every other shard
+  is done, and the degraded path reruns just the shards that kept
+  failing (or never ran), in-process with ``run_one_shard`` — never
+  the injected ``shard_fn``, which may be what failed.
+* **One fold.**  Whatever executed them, results are recombined by
+  :func:`~repro.harness.shardfleet.combine_shard_results`, a pure fold
+  in ``(shard, pfn)`` order — so ``--shards 1``, ``--shards 4``, a
+  retried worker and the degraded path all produce byte-identical
+  artifacts.  :func:`run_sharded` is the one entry point every caller
+  (fleet tasks, the CLI, the benchmarks) goes through.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-import traceback
+import functools
 from dataclasses import dataclass
 
-from repro.annotations import worker_entry
+from repro.runner.pool import Supervisor, _Item, _PoolBroken
 from repro.runner.progress import (
     ShardExchangeResolved,
     ShardPoolDegraded,
@@ -47,226 +41,105 @@ class ShardPoolConfig:
     """Execution policy for one sharded scenario."""
 
     workers: int = 1
-    #: Progress watchdog: max silence per worker before it is killed.
+    #: Progress watchdog: max silence per shard before it is killed.
     timeout_s: float | None = None
-    #: Failed workers get this many fresh-process retries.
+    #: Failed shards are retried this many times on the pool.
     max_retries: int = 1
     retry_backoff_s: float = 0.25
     #: multiprocessing start method; ``None`` prefers fork, then spawn.
     start_method: str | None = None
-    #: Skip the pool entirely (also the degraded mode).
+    #: Skip the pool entirely and run in-process.
     force_serial: bool = False
 
 
-@worker_entry
-def _shard_worker_main(conn, spec, shards: tuple, shard_fn=None) -> None:
-    """Child entry: run each assigned shard, streaming round beacons.
+def _beacon(driver, table) -> tuple:
+    """One round's progress: the :class:`ShardRoundCompleted` fields
+    after ``scenario``."""
+    return (driver.shard, table.round_no, len(table.entries),
+            driver.booted, driver.booted - driver.retired)
+
+
+def _run_shard(spec, shard_fn, shard: int, progress):
+    """Worker side of a shard item: run it, streaming round beacons.
 
     ``shard_fn`` defaults to the real shard executor; the scaling
     benchmark injects a service-time-calibrated wrapper through it.
     """
     from repro.harness.shardfleet import run_one_shard
 
-    runner = shard_fn or run_one_shard
-
-    def on_round(driver, table) -> None:
-        conn.send(("round", driver.shard, table.round_no,
-                   len(table.entries), driver.booted,
-                   driver.booted - driver.retired))
-
-    try:
-        for shard in shards:
-            result = runner(spec, shard, on_round=on_round)
-            conn.send(("done", shard, result))
-        conn.send(("exit", None, None))
-    except BaseException as exc:  # noqa: BLE001 - report, parent decides
-        diagnostic = getattr(exc, "diagnostic", None)
-        detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        if diagnostic:
-            detail = f"{diagnostic}\n{detail}"
-        try:
-            conn.send(("error", None, detail))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+    return (shard_fn or run_one_shard)(
+        spec, shard,
+        on_round=lambda driver, table: progress(_beacon(driver, table)),
+    )
 
 
-@dataclass
-class _Worker:
-    process: object
-    conn: object
-    shards: list[int]
-    last_heard: float
-    exited: bool = False
-
-
-class _ShardPoolBroken(Exception):
-    """Raised internally when the pool cannot make progress."""
-
-
-class ShardPool:
-    """Supervisor for one scenario's shard workers."""
+class ShardPool(Supervisor):
+    """The supervisor over one scenario's shards."""
 
     def __init__(self, spec, *, config: ShardPoolConfig | None = None,
                  on_event=None, shard_fn=None) -> None:
+        config = config or ShardPoolConfig()
+        super().__init__(spec.shards, jobs=min(config.workers, spec.shards),
+                         config=config,
+                         run_item=functools.partial(_run_shard, spec,
+                                                    shard_fn),
+                         on_event=on_event)
         self.spec = spec
-        self.config = config or ShardPoolConfig()
-        self.on_event = on_event or (lambda event: None)
-        self.shard_fn = shard_fn
         self.results: dict[int, object] = {}
+        #: shard -> its last failure, for shards out of retries.
+        self.failed: dict[int, str] = {}
 
-    # -- plumbing -------------------------------------------------------
-    def _emit(self, event) -> None:
-        self.on_event(event)
-
-    def _context(self):
-        methods = multiprocessing.get_all_start_methods()
-        method = self.config.start_method or (
-            "fork" if "fork" in methods else "spawn"
-        )
-        return multiprocessing.get_context(method)
-
-    @staticmethod
-    def _kill(worker: _Worker) -> None:
-        try:
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1)
-                if worker.process.is_alive():
-                    worker.process.kill()
-                    worker.process.join(timeout=1)
-        except Exception:
-            pass
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
-
-    def _spawn(self, ctx, shards: list[int]) -> _Worker:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, self.spec, tuple(shards), self.shard_fn),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn, shards=shards,
-                       last_heard=time.monotonic())
-
-    # -- one pool attempt ----------------------------------------------
-    def _drain(self, worker: _Worker) -> str | None:
-        """Pump one worker's pipe; returns a failure outcome or None."""
-        while worker.conn.poll():
-            try:
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                return "crashed"
-            worker.last_heard = time.monotonic()
-            kind = message[0]
-            if kind == "round":
-                _, shard, round_no, exported, booted, resident = message
-                self._emit(ShardRoundCompleted(
-                    scenario=self.spec.name, shard=shard, round_no=round_no,
-                    exported_cids=exported, booted=booted, resident=resident,
-                ))
-            elif kind == "done":
-                _, shard, result = message
-                self.results[shard] = result
-                if shard in worker.shards:
-                    worker.shards.remove(shard)
-            elif kind == "exit":
-                worker.exited = True
-            elif kind == "error":
-                return f"error: {message[2]}"
-        return None
-
-    def _attempt(self, ctx, shards: list[int]) -> list[int]:
-        """One pooled pass over ``shards``; returns the unfinished ones."""
-        count = max(1, min(self.config.workers, len(shards)))
-        workers: list[_Worker] = []
-        try:
-            for offset in range(count):
-                workers.append(self._spawn(ctx, shards[offset::count]))
-        except Exception as exc:
-            # e.g. a daemonic task-pool worker cannot have children:
-            # degrade to the in-process executor instead of failing.
-            for worker in workers:
-                self._kill(worker)
-            raise _ShardPoolBroken(
-                f"cannot start shard worker: {exc}"
-            ) from exc
-        failed: list[int] = []
-        try:
-            while workers:
-                progressed = False
-                now = time.monotonic()
-                for worker in list(workers):
-                    outcome = self._drain(worker)
-                    if outcome is None and worker.exited:
-                        worker.process.join(timeout=5)
-                        workers.remove(worker)
-                        progressed = True
-                        continue
-                    if outcome is None and not worker.process.is_alive():
-                        outcome = (
-                            f"crashed: exit code {worker.process.exitcode}"
-                        )
-                    if (outcome is None
-                            and self.config.timeout_s is not None
-                            and now - worker.last_heard
-                            > self.config.timeout_s):
-                        outcome = (
-                            f"timeout: silent for {self.config.timeout_s}s"
-                        )
-                    if outcome is not None:
-                        self._kill(worker)
-                        workers.remove(worker)
-                        failed.extend(worker.shards)
-                        progressed = True
-                        self._last_failure = outcome
-                if not progressed:
-                    time.sleep(0.005)
-        finally:
-            for worker in workers:
-                self._kill(worker)
-        return sorted(failed)
-
-    # -- public API -----------------------------------------------------
     def run(self) -> list:
-        """All shards' results, by shard, surviving worker failures."""
-        spec = self.spec
-        missing = list(range(spec.shards))
-        self._last_failure = ""
-        try:
-            ctx = self._context()
-        except Exception as exc:
-            raise _ShardPoolBroken(
-                f"no multiprocessing context: {exc}"
-            ) from exc
-        attempt = 0
-        while missing:
-            missing = self._attempt(ctx, missing)
-            missing = [s for s in missing if s not in self.results]
-            if not missing:
-                break
-            if attempt >= self.config.max_retries:
-                summary = (self._last_failure or "unknown").splitlines()[0]
-                raise _ShardPoolBroken(
-                    f"shards {missing} kept failing ({summary})"
-                )
-            reason = self._last_failure.split(":", 1)[0] or "crashed"
-            self._emit(ShardWorkerRetrying(
-                scenario=spec.name, shards=tuple(missing), reason=reason,
-                attempt=attempt, detail=self._last_failure,
-            ))
-            time.sleep(self.config.retry_backoff_s * (2 ** attempt))
-            attempt += 1
+        """All shards' results, by shard; raises once any shard has
+        spent its retries (after the others finish) or no pool can be
+        built, so that :func:`run_sharded` can degrade."""
+        self._run_pool()
+        return self._ordered()
+
+    def run_inprocess(self) -> list:
+        """The degraded path: the unfinished shards in this process."""
+        self.failed.clear()
+        self._pending = [_Item(shard) for shard in range(self.spec.shards)
+                         if shard not in self.results]
+        self._run_inprocess()
+        return self._ordered()
+
+    def on_round(self, driver, table) -> None:
+        self._progress(None, _beacon(driver, table))
+
+    def _ordered(self) -> list:
+        """Results by shard; raises if any shard ran out of retries."""
+        if self.failed:
+            shard, failure = min(self.failed.items())
+            raise _PoolBroken(f"shards {sorted(self.failed)} kept failing "
+                              f"(shard {shard} {failure})")
         return [self.results[shard] for shard in sorted(self.results)]
+
+    # -- supervisor hooks -----------------------------------------------
+    def _message(self, item: _Item) -> int:
+        return item.index
+
+    def _execute(self, item: _Item):
+        from repro.harness.shardfleet import run_one_shard
+
+        return run_one_shard(self.spec, item.index, on_round=self.on_round)
+
+    def _progress(self, item, message) -> None:
+        self._emit(ShardRoundCompleted(self.spec.name, *message))
+
+    def _succeeded(self, item: _Item, result, mode: str) -> None:
+        self.results[item.index] = result
+
+    def _retrying(self, item: _Item, outcome: str, detail: str,
+                  delay: float) -> None:
+        self._emit(ShardWorkerRetrying(
+            scenario=self.spec.name, shards=(item.index,), reason=outcome,
+            attempt=item.attempt, detail=detail,
+        ))
+
+    def _gave_up(self, item: _Item, outcome: str, detail: str,
+                 mode: str) -> None:
+        self.failed[item.index] = self._history[item.index][-1]
 
 
 def run_sharded(spec, *, config: ShardPoolConfig | None = None,
@@ -275,7 +148,8 @@ def run_sharded(spec, *, config: ShardPoolConfig | None = None,
 
     ``spec.shards == 1`` and single-worker/forced-serial configurations
     take the in-process reference executor; everything else goes
-    through :class:`ShardPool` with serial degradation.  The returned
+    through :class:`ShardPool`, degrading to in-process runs of the
+    unfinished shards.  The returned
     :class:`~repro.harness.fleet.FleetResult` is byte-identical across
     all of these paths.
     """
@@ -285,33 +159,23 @@ def run_sharded(spec, *, config: ShardPoolConfig | None = None,
     )
 
     config = config or ShardPoolConfig()
-    emit = on_event or (lambda event: None)
-
-    def on_round(driver, table) -> None:
-        emit(ShardRoundCompleted(
-            scenario=spec.name, shard=driver.shard, round_no=table.round_no,
-            exported_cids=len(table.entries), booted=driver.booted,
-            resident=driver.booted - driver.retired,
-        ))
+    pool = ShardPool(spec, config=config, on_event=on_event,
+                     shard_fn=shard_fn)
 
     def on_exchange(outcome) -> None:
-        emit(ShardExchangeResolved(
+        pool.on_event(ShardExchangeResolved(
             scenario=spec.name, round_no=outcome.round_no,
             shards=spec.shards, exchanged_cids=outcome.exchanged_cids,
             intents_applied=outcome.applied,
             stale_dropped=outcome.stale_entries_dropped,
         ))
 
-    serial = (spec.shards == 1 or config.workers <= 1
-              or config.force_serial)
-    if not serial:
-        pool = ShardPool(spec, config=config, on_event=on_event,
-                         shard_fn=shard_fn)
-        try:
-            results = pool.run()
-            return combine_shard_results(spec, results,
-                                         on_exchange=on_exchange)
-        except _ShardPoolBroken as exc:
-            emit(ShardPoolDegraded(scenario=spec.name, reason=str(exc)))
-    return run_sharded_serial(spec, on_round=on_round,
-                              on_exchange=on_exchange)
+    if spec.shards == 1 or config.workers <= 1 or config.force_serial:
+        return run_sharded_serial(spec, on_round=pool.on_round,
+                                  on_exchange=on_exchange)
+    try:
+        results = pool.run()
+    except _PoolBroken as exc:
+        pool.on_event(ShardPoolDegraded(scenario=spec.name, reason=str(exc)))
+        results = pool.run_inprocess()
+    return combine_shard_results(spec, results, on_exchange=on_exchange)

@@ -237,10 +237,10 @@ class TestPoolDegradation:
             on_event=events.append,
         )
 
-        def broken_start(ctx, index, attempt):
+        def broken_spawn(ctx):
             raise OSError("fork: resource temporarily unavailable")
 
-        monkeypatch.setattr(pool, "_start_process", broken_start)
+        monkeypatch.setattr(pool, "_spawn", broken_spawn)
         results = pool.run()
         assert [r.payload["value"] for r in results] == [1, 2]
         assert all(r.mode == "serial" for r in results)
@@ -251,12 +251,51 @@ class TestPoolDegradation:
         healthy = run_tasks(tasks, config=RunnerConfig(jobs=2))
         pool = TaskPool(tasks, config=RunnerConfig(jobs=2))
         monkeypatch.setattr(
-            pool, "_start_process",
+            pool, "_spawn",
             lambda *a, **k: (_ for _ in ()).throw(OSError("no pids")),
         )
         degraded = pool.run()
         assert ([r.payload for r in healthy]
                 == [r.payload for r in degraded])
+
+    def test_degraded_run_keeps_the_retry_budget(self, monkeypatch):
+        # The pool dies after the first failed attempt: its worker is
+        # killed and no replacement can be started.  The in-process
+        # fallback must continue from attempt 2, not start over.
+        events = []
+        pool = TaskPool(
+            [TaskSpec.selftest("doomed", mode="raise", fail_attempts=99)],
+            config=RunnerConfig(jobs=1, max_retries=2, **FAST_RETRY),
+        )
+        spawn = pool._spawn
+        spawned = []
+
+        def spawn_once(ctx):
+            if spawned:
+                raise OSError("fork: resource temporarily unavailable")
+            spawned.append(spawn(ctx))
+            return spawned[-1]
+
+        def on_event(event):
+            events.append(event)
+            if isinstance(event, TaskRetrying):
+                for worker in spawned:
+                    worker.process.kill()
+                    worker.process.join()
+
+        monkeypatch.setattr(pool, "_spawn", spawn_once)
+        pool.on_event = on_event
+        [result] = pool.run()
+        assert any(isinstance(e, PoolDegraded) for e in events)
+        assert result.status == "error" and result.mode == "serial"
+        assert result.attempts == 3
+        history = [line.strip() for line in result.error.splitlines()
+                   if line.startswith("  attempt ")]
+        assert [line.split(":")[0] for line in history] == [
+            "attempt 1", "attempt 2", "attempt 3"]
+        assert "after 3 attempt(s)" in result.error
+        started = [e.attempt for e in events if isinstance(e, TaskStarted)]
+        assert started == [0, 1, 2]
 
 
 class TestArtifacts:

@@ -43,7 +43,8 @@ from repro.runner import (
     resolve_jobs,
     run_sharded,
 )
-from repro.runner.shardpool import ShardPool, _ShardPoolBroken
+from repro.runner.pool import _PoolBroken
+from repro.runner.shardpool import ShardPool
 
 
 def small_spec(shards: int = 2, engine: str = "ksm",
@@ -92,6 +93,14 @@ def hang_once_shard_fn(spec, shard, on_round=None):
 
 def always_crash_shard_fn(spec, shard, on_round=None):
     os._exit(23)
+
+
+def crash_shard_one_fn(spec, shard, on_round=None):
+    if shard == 1:
+        os._exit(23)
+    result = run_one_shard(spec, shard, on_round=on_round)
+    result.worker_pid = os.getpid()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +331,43 @@ class TestPoolFailures:
         assert "kept failing" in degraded[0].reason
         assert payload(result) == payload(run_sharded_serial(spec))
 
+    def test_degraded_path_reruns_only_unfinished_shards(self, monkeypatch):
+        from repro.harness import shardfleet
+
+        spec = small_spec(shards=2)
+        inprocess, folded = [], []
+
+        def recording_run(spec, shard, on_round=None):
+            inprocess.append(shard)
+            return run_one_shard(spec, shard, on_round=on_round)
+
+        def recording_combine(spec, results, on_exchange=None):
+            folded.extend(getattr(r, "worker_pid", None) for r in results)
+            return combine_shard_results(spec, results,
+                                         on_exchange=on_exchange)
+
+        monkeypatch.setattr(shardfleet, "run_one_shard", recording_run)
+        monkeypatch.setattr(shardfleet, "combine_shard_results",
+                            recording_combine)
+        events = []
+        result = run_sharded(
+            spec,
+            config=ShardPoolConfig(workers=2, max_retries=0,
+                                   start_method="fork"),
+            on_event=events.append, shard_fn=crash_shard_one_fn)
+        assert inprocess == [1]
+        assert folded[0] not in (None, os.getpid())  # shard 0: pooled
+        assert folded[1] is None                      # shard 1: in-process
+        degraded = [e for e in events if isinstance(e, ShardPoolDegraded)]
+        assert len(degraded) == 1 and "shards [1]" in degraded[0].reason
+        assert payload(result) == payload(run_sharded_serial(spec))
+
     def test_pool_itself_raises_when_budget_exhausted(self):
         pool = ShardPool(small_spec(shards=2),
                          config=ShardPoolConfig(workers=2, max_retries=0,
                                                 start_method="fork"),
                          shard_fn=always_crash_shard_fn)
-        with pytest.raises(_ShardPoolBroken, match="kept failing"):
+        with pytest.raises(_PoolBroken, match="kept failing"):
             pool.run()
 
 

@@ -70,15 +70,11 @@ MUTANTS = [
         [(
             "        process = ctx.Process(\n"
             "            target=_worker_main,\n"
-            "            args=(child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                  self.config.shard_workers),\n"
+            "            args=(child_conn, self.run_item),\n"
             "            daemon=True,\n"
             "        )\n"
             "        process.start()\n",
-            "        payload = [child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                   self.config.shard_workers]\n"
+            "        payload = [child_conn, self.run_item]\n"
             "        process = ctx.Process(\n"
             "            target=_worker_main,\n"
             "            args=payload,\n"
@@ -179,13 +175,9 @@ MUTANTS = [
     pytest.param(
         POOL,
         [(
-            "        payload = execute_task(spec, seed, attempt=attempt,\n"
-            "                               shard_workers=shard_workers)\n"
-            "        conn.send((\"ok\", payload, None))\n",
-            "        payload = execute_task(spec, seed, attempt=attempt,\n"
-            "                               shard_workers=shard_workers)\n"
-            "        trace = open(\"/dev/null\", \"w\")\n"
-            "        conn.send((\"ok\", payload, trace))\n",
+            "            conn.send((\"ok\", result))\n",
+            "            trace = open(\"/dev/null\", \"w\")\n"
+            "            conn.send((\"ok\", result, trace))\n",
         )],
         "RACE004",
         id="pool-worker-ships-open-handle-through-pipe",
@@ -194,14 +186,8 @@ MUTANTS = [
         POOL,
         [(
             "            target=_worker_main,\n"
-            "            args=(child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                  self.config.shard_workers),\n",
-            "            target=lambda: _worker_main(\n"
-            "                child_conn, self.tasks[index], "
-            "self.seeds[index], attempt,\n"
-            "                self.config.shard_workers\n"
-            "            ),\n",
+            "            args=(child_conn, self.run_item),\n",
+            "            target=lambda: _worker_main(child_conn, self.run_item),\n",
         )],
         "RACE004",
         id="pool-spawn-targets-a-lambda",
