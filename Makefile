@@ -19,14 +19,13 @@ test:
 sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-## bench: perf gates (scan throughput, physmem arena digests vs
-## uncached, e2e batch vs scalar scan kernel, scan pass, runner, lint,
-## fleet scale, shard scaling).  REPRO_FLEET_TIER=smoke trims
+## bench: perf gates (physmem arena digests vs uncached, e2e batch
+## vs scalar scan kernel, scan pass, runner, lint, fleet scale, shard
+## scaling).  REPRO_FLEET_TIER=smoke trims
 ## the fleet curves to the 20k tier (what CI runs); unset runs
 ## 20k/100k/500k.
 bench:
-	$(PYTHON) -m pytest -x -q -s benchmarks/test_scan_throughput.py \
-	    benchmarks/test_physmem_ops.py \
+	$(PYTHON) -m pytest -x -q -s benchmarks/test_physmem_ops.py \
 	    benchmarks/test_e2e_scenario.py \
 	    benchmarks/test_scan_pass.py \
 	    benchmarks/test_runner_speedup.py \

@@ -294,7 +294,7 @@ _PHYSMEM_INTERNALS = {
     "_ids", "_payloads", "_digest_cache", "_free_ids",
     "_intern", "_retain", "_release",
     # FingerprintCache internals.
-    "_digests", "_generations",
+    "_generations",
     # BuddyAllocator free lists and counter.
     "_free_lists", "_free_blocks", "_free_frames",
 }

@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shards", type=int, default=None,
                      help="worker processes per sharded fleet scenario "
                           "(default: REPRO_SHARDS or 1; 0 = all cpus; "
-                          "results are byte-identical for any value)")
+                          "more than 1 needs --serial; results are "
+                          "byte-identical for any value)")
     run.add_argument("--out", default="results/run",
                      help="artifact directory (default results/run)")
     run.add_argument("--no-artifacts", action="store_true",
@@ -199,6 +200,13 @@ def cmd_run(args) -> int:
                                      default=1)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if shard_workers > 1 and not args.serial:
+        # Pool workers are daemonic and may not start children, so a
+        # task's shard pool would silently run in-process.
+        print(f"error: {shard_workers} shard workers need --serial: "
+              "tasks on the worker pool cannot start a shard pool",
+              file=sys.stderr)
         return 2
     config = RunnerConfig(
         jobs=jobs,

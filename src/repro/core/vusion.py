@@ -34,7 +34,6 @@ from repro.core.deferred_free import DeferredFreeQueue
 from repro.core.random_pool import RandomFramePool
 from repro.core.working_set import WorkingSetEstimator
 from repro.fusion.base import FusionEngine, ScanCursor
-from repro.fusion.incremental import PURE, IncrementalScanCache
 from repro.fusion.rbtree import RedBlackTree
 from repro.mem.content import PageContent
 from repro.mem.physmem import FrameType
@@ -97,7 +96,6 @@ class Vusion(FusionEngine):
         self.wse: WorkingSetEstimator | None = None
         self._nodes_by_pfn: dict[int, VusionNode] = {}
         self.rerandomizations = 0
-        self._inc: IncrementalScanCache | None = None
         self._fused_flags = (
             FUSED_FLAGS if config.cache_disable_enabled else FUSED_FLAGS_NO_CD
         )
@@ -127,10 +125,6 @@ class Vusion(FusionEngine):
             enabled=self.config.working_set_enabled,
             min_idle_ns=min_idle,
         )
-        # Pure-skip memos only: every charged VUsion step either
-        # mutates state (merge, fake merge, re-randomize, working-set
-        # probe clearing the accessed bit) or depends on it.
-        self._inc = IncrementalScanCache(kernel, self.name)
         kernel.register_daemon(
             "vusion", self.fusion_config.scan_interval, self.scan_tick
         )
@@ -140,41 +134,33 @@ class Vusion(FusionEngine):
     # ------------------------------------------------------------------
     def scan_tick(self) -> None:
         kernel = self.kernel
-        inc = self._inc
         self.stats.scans += 1
         for process, vma, vaddr in self.cursor.next_pages(
             self.fusion_config.pages_per_scan
         ):
             kernel.clock.advance(kernel.costs.scan_page)
             self.stats.pages_scanned += 1
-            if inc.try_replay(process, vaddr):
-                continue
-            inc.commit(process, vaddr, self._scan_one(process, vaddr), 0)
+            self._scan_one(process, vaddr)
         self.stats.full_scans = self.cursor.full_scans
 
-    def _scan_one(self, process: "Process", vaddr: int):
-        """Scan one page; returns the replay outcome for the memo cache
-        (only content-free skips are pure — everything else mutates)."""
+    def _scan_one(self, process: "Process", vaddr: int) -> None:
         kernel = self.kernel
         walk = process.address_space.page_table.walk(vaddr)
         if walk is None:
-            return (PURE,)
+            return
         pte = walk.pte
         if pte.fused:
             # Already (fake-)merged; re-randomize its backing once per
-            # scan round (decision (iii)).  Without re-randomization
-            # the step is a pure skip; with it the skip-or-move choice
-            # depends on the round counter, so it stays opaque.
-            if not self.config.rerandomize_each_scan:
-                return (PURE,)
-            self._rerandomize(pte.pfn)
-            return None
+            # scan round (decision (iii)).
+            if self.config.rerandomize_each_scan:
+                self._rerandomize(pte.pfn)
+            return
         if walk.huge:
             if vaddr != walk.page_base:
                 # A huge page has one PTE (and one accessed bit) for
                 # all 512 subpages; handle it once per round, at its
                 # base address.
-                return (PURE,)
+                return
             if self.config.thp_enabled and self.config.thp_active_threshold <= 1:
                 # High-performance mode (§8.1, n = 1, à la Ingens):
                 # only an *idle* THP is broken up — the split leaks
@@ -372,9 +358,6 @@ class Vusion(FusionEngine):
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def incremental_stats(self) -> dict[str, int]:
-        return self._inc.stats_dict() if self._inc is not None else {}
-
     def shard_exportable_pfns(self) -> list[int]:
         # Only fused (S xor F disciplined) node frames.  Accessible
         # guest pages are never advertised: a cross-shard digest of a

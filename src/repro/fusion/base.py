@@ -232,9 +232,8 @@ class FusionEngine(ABC):
     # Metrics
     # ------------------------------------------------------------------
     def incremental_stats(self) -> dict[str, int]:
-        """Counters of the engine's incremental scan cache, if it has
-        one (kept out of :class:`FusionStats` so enabling/disabling
-        the fingerprint cache cannot change the metrics tests see)."""
+        """Always empty: no engine keeps scan-replay counters.  Kept
+        only because the perfbench harness reads it on every run."""
         return {}
 
     @abstractmethod

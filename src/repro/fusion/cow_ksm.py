@@ -4,8 +4,6 @@ The paper modifies KSM to unmerge on *any* access (copy-on-access) in
 order to measure how much fusion rate the S⊕F principle costs.  Here
 that is simply KSM with read protection switched on — kept as its own
 class so experiments and docs can name it.  It inherits KSM's
-incremental scan cache unchanged: the reserved bit rides on the same
-PTEs, so the same replay gates apply.  It likewise inherits KSM's
 content-identity fast paths (``same_content`` revalidation, arena-backed
 digests); the frequent copy-on-access unmerges it triggers are O(1)
 content-id moves on the columnar store.

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.fusion.base import FusionEngine, ScanCursor
-from repro.fusion.incremental import INSERT, NOOP, PURE, IncrementalScanCache
 from repro.fusion.rbtree import RedBlackTree
 from repro.mem.physmem import FrameType
 from repro.mmu.pte import PteFlags
@@ -86,17 +85,12 @@ class Ksm(FusionEngine):
         self._nodes_by_pfn: dict[int, StableNode] = {}
         self._checksums: dict[tuple[int, int], int] = {}
         self._zero_mapped = 0
-        self._inc: IncrementalScanCache | None = None
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def _register(self, kernel: "Kernel") -> None:
         def charge() -> None:
-            # Quiet inserts re-build tree state whose comparisons were
-            # already charged when the originating memo was recorded.
-            if inc.quiet:
-                return
             kernel.clock.advance(kernel.costs.tree_compare)
 
         self.cursor = ScanCursor(kernel)
@@ -106,9 +100,6 @@ class Ksm(FusionEngine):
         self.unstable = RedBlackTree(
             key_of=lambda ref: kernel.physmem.read(ref.pfn), on_compare=charge
         )
-        inc = self._inc = IncrementalScanCache(
-            kernel, self.name, charged=True, insert=self.unstable.insert
-        )
         kernel.register_daemon("ksmd", self.config.scan_interval, self.scan_tick)
 
     # ------------------------------------------------------------------
@@ -116,9 +107,7 @@ class Ksm(FusionEngine):
     # ------------------------------------------------------------------
     def scan_tick(self) -> None:
         kernel = self.kernel
-        inc = self._inc
         self.stats.scans += 1
-        inc.begin_tick()
         for _ in range(self.config.pages_per_scan):
             full_scans_before = self.cursor.full_scans
             batch = self.cursor.next_pages(1)
@@ -128,60 +117,50 @@ class Ksm(FusionEngine):
                 # scratch — exactly at the wrap point, so scan order
                 # within a round is strictly registration order.
                 self.unstable.clear()
-                inc.begin_round()
                 self.stats.full_scans = self.cursor.full_scans
             if not batch:
                 break
             process, _vma, vaddr = batch[0]
             kernel.clock.advance(kernel.costs.scan_page)
             self.stats.pages_scanned += 1
-            if inc.try_replay(process, vaddr):
-                continue
-            inc.materialize()
-            start = kernel.clock.now
-            outcome = self._scan_one(process, vaddr)
-            inc.commit(process, vaddr, outcome, kernel.clock.now - start)
+            self._scan_one(process, vaddr)
 
-    def _scan_one(self, process: "Process", vaddr: int):
-        """Scan one page; returns the replay outcome for the memo cache
-        (None marks the step opaque: it mutated engine/kernel state)."""
+    def _scan_one(self, process: "Process", vaddr: int) -> None:
+        """Checksum one page and merge it against the stable, then the
+        unstable tree."""
         kernel = self.kernel
         walk = process.address_space.page_table.walk(vaddr)
         if walk is None or walk.pte.fused or walk.pte.reserved:
-            return (PURE,)
+            return
         pfn = walk.frame_for(vaddr)
         content = kernel.physmem.read(pfn)
         kernel.clock.advance(kernel.costs.checksum_page)
         if self.use_zero_pages and not content:
             self._merge_zero_page(process, vaddr, walk)
-            return None
+            return
         key = (process.pid, vaddr)
         digest = kernel.physmem.digest(pfn)
         if self._checksums.get(key) != digest:
             # Volatile page: remember the checksum, try again next pass.
             self._checksums[key] = digest
             self.stats.volatile_skips += 1
-            return None
+            return
 
         node = self.stable.search(content)
         if node is not None:
-            if node.pfn == pfn:
-                return (NOOP, pfn, digest)
-            self._merge_into(process, vaddr, node)
-            return None
+            if node.pfn != pfn:
+                self._merge_into(process, vaddr, node)
+            return
 
         match = self.unstable.search(content)
         if match is not None and (match.pid, match.vaddr) != key:
             node = self._promote(match, content)
             if node is not None:
                 self._merge_into(process, vaddr, node)
-                return None
+                return
             match = None
         if match is None:
-            ref = UnstableRef(process.pid, vaddr, pfn)
-            self.unstable.insert(ref)
-            return (INSERT, pfn, digest, ref)
-        return (NOOP, pfn, digest)
+            self.unstable.insert(UnstableRef(process.pid, vaddr, pfn))
 
     # ------------------------------------------------------------------
     # Merging
@@ -226,7 +205,6 @@ class Ksm(FusionEngine):
         kernel.physmem.pin_fused(match.pfn)
         kernel.physmem.get_ref(match.pfn)
         self.stable.insert(node)
-        self._inc.bump_epoch()
         self._nodes_by_pfn[match.pfn] = node
         self.unstable.discard(match)
         self.stats.stable_nodes_created += 1
@@ -337,7 +315,6 @@ class Ksm(FusionEngine):
         if node is None or self.kernel.physmem.refcount(pfn) != 1:
             return
         self.stable.remove(node)
-        self._inc.bump_epoch()
         del self._nodes_by_pfn[pfn]
         self.kernel.physmem.unpin_fused(pfn)
         self.kernel.physmem.put_ref(pfn)
@@ -347,9 +324,6 @@ class Ksm(FusionEngine):
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def incremental_stats(self) -> dict[str, int]:
-        return self._inc.stats_dict() if self._inc is not None else {}
-
     def shard_exportable_pfns(self) -> list[int]:
         # Stable-tree frames only: merged, write-protected content.
         # Unstable candidates are still writable guest pages — their

@@ -33,7 +33,6 @@ import zlib
 from typing import TYPE_CHECKING
 
 from repro.fusion.base import FusionEngine, ScanCursor
-from repro.fusion.incremental import PURE, IncrementalScanCache
 from repro.kernel.idle import IdlePageTracker
 from repro.mem.content import PageContent, ZERO_PAGE, content_digest
 from repro.mem.physmem import FrameType
@@ -116,14 +115,9 @@ class MemoryCombining(FusionEngine):
         self.combined = 0
         self._tracker = IdlePageTracker()
         self._last_active: dict[tuple[int, int], int] = {}
-        self._inc: IncrementalScanCache | None = None
 
     def _register(self, kernel: "Kernel") -> None:
         self.cursor = ScanCursor(kernel)
-        # Pure-skip memos only: idleness probes clear the accessed bit
-        # and evictions mutate the store, so only the walk-level skips
-        # (unmapped / huge / fused) are replayable.
-        self._inc = IncrementalScanCache(kernel, self.name)
         kernel.register_daemon(
             "memory-combining", self.config.scan_interval, self.scan_tick
         )
@@ -133,29 +127,20 @@ class MemoryCombining(FusionEngine):
     # ------------------------------------------------------------------
     def scan_tick(self) -> None:
         kernel = self.kernel
-        inc = self._inc
         self.stats.scans += 1
         for process, _vma, vaddr in self.cursor.next_pages(
             self.config.pages_per_scan
         ):
             kernel.clock.advance(kernel.costs.scan_page)
             self.stats.pages_scanned += 1
-            if inc.try_replay(process, vaddr):
-                continue
-            inc.commit(process, vaddr, self._consider(process, vaddr), 0)
+            self._consider(process, vaddr)
         self.stats.full_scans = self.cursor.full_scans
 
-    def _consider(self, process: "Process", vaddr: int):
+    def _consider(self, process: "Process", vaddr: int) -> None:
         kernel = self.kernel
         walk = process.address_space.page_table.walk(vaddr)
-        if walk is None or walk.huge or walk.pte.fused:
-            # Leaving these states goes through map/unmap/split and
-            # bumps the page-table version, so the skip is pure.
-            return (PURE,)
-        if walk.pte.cow:
-            # The COW bit can be cleared in place (no version bump),
-            # so this skip must stay opaque.
-            return None
+        if walk is None or walk.huge or walk.pte.fused or walk.pte.cow:
+            return
         key = (process.pid, vaddr)
         now = kernel.clock.now
         if self._tracker.check_and_clear(walk.pte) or key not in self._last_active:
@@ -221,9 +206,6 @@ class MemoryCombining(FusionEngine):
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def incremental_stats(self) -> dict[str, int]:
-        return self._inc.stats_dict() if self._inc is not None else {}
-
     def saved_frames(self) -> int:
         """Frames saved vs. keeping every evicted page resident.
 

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from repro.errors import OutOfMemoryError
 from repro.fusion.avl import AvlTree
 from repro.fusion.base import FusionEngine
-from repro.fusion.incremental import IncrementalPassCache
 from repro.mem.content import PageContent, content_digest
 from repro.mem.physmem import FrameType
 from repro.mmu.pte import PteFlags
@@ -96,7 +95,6 @@ class WindowsPageFusion(FusionEngine):
         self._trees: list[AvlTree[WpfNode]] = []
         self._nodes_by_pfn: dict[int, WpfNode] = {}
         self._allocator: LinearHighAllocator | None = None
-        self._pass_cache: IncrementalPassCache | None = None
 
     def _register(self, kernel: "Kernel") -> None:
         def charge() -> None:
@@ -104,7 +102,6 @@ class WindowsPageFusion(FusionEngine):
 
         self._trees = [AvlTree(on_compare=charge) for _ in range(self.num_trees)]
         self._allocator = LinearHighAllocator(kernel)
-        self._pass_cache = IncrementalPassCache(kernel, self.name)
         kernel.register_daemon("wpf", self.config.pass_interval, self.full_pass)
 
     def _tree_for(self, content: PageContent) -> AvlTree[WpfNode]:
@@ -114,25 +111,12 @@ class WindowsPageFusion(FusionEngine):
     # The fusion pass
     # ------------------------------------------------------------------
     def full_pass(self) -> None:
-        kernel = self.kernel
         self.stats.scans += 1
         self.stats.full_scans += 1
-        replay = self._pass_cache.try_replay()
-        if replay is not None:
-            # Nothing observable changed since the last (no-op) pass:
-            # the identical work is replayed as one clock charge.
-            charge, pages = replay
-            if charge:
-                kernel.clock.advance(charge)
-            self.stats.pages_scanned += pages
-            return
-        rec = self._pass_cache.begin_record()
         candidates, contents, digests = self._gather_candidates()
-        pages = sum(len(v) for v in candidates.values())
-        self.stats.pages_scanned += pages
+        self.stats.pages_scanned += sum(len(v) for v in candidates.values())
         self._create_nodes(candidates, contents, digests)
         self._merge_candidates(candidates, contents, digests)
-        self._pass_cache.commit(rec, pages)
 
     def _gather_candidates(
         self,
@@ -327,9 +311,6 @@ class WindowsPageFusion(FusionEngine):
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def incremental_stats(self) -> dict[str, int]:
-        return self._pass_cache.stats_dict() if self._pass_cache is not None else {}
-
     def shard_exportable_pfns(self) -> list[int]:
         # Combined frames only (the AVL trees' node pages): already
         # shared read-only, so advertising their digests leaks nothing

@@ -199,21 +199,6 @@ class Kernel:
         if self.tracepoints.active:
             self.tracepoints.emit(self.clock.now, name, **fields)
 
-    def scan_topology_token(self) -> tuple[int, int, int]:
-        """Cheap token covering everything a scan's page walks depend on.
-
-        Changes whenever a process appears/disappears, any page table's
-        structure changes, or any VMA layout/mergeable flag changes.
-        Scan caches compare tokens to prove recorded walk outcomes are
-        still valid without re-walking.
-        """
-        pt_version = 0
-        as_epoch = 0
-        for process in self._processes.values():
-            pt_version += process.address_space.page_table.version
-            as_epoch += process.address_space.epoch
-        return (len(self._processes), pt_version, as_epoch)
-
     # ------------------------------------------------------------------
     # Frame management
     # ------------------------------------------------------------------

@@ -24,18 +24,13 @@ Two things must never change whether the cache is on or off:
 
 With fingerprints *disabled* the hash is recomputed on every call —
 the disabled configuration stays a true no-cache baseline (the
-scan-throughput and physmem perf gates measure against it).
+physmem perf gate measures against it).
 
-On top of the digests sit two cheap change detectors engines use to
-skip *re-examining* unchanged pages:
-
-* a per-frame **generation counter** bumped on every mutation (unlike
-  :meth:`PhysicalMemory.version`, which deliberately ignores
-  ``corrupt_bit`` to model one-way Rowhammer charge leakage), plus a
-  global ``mutation_epoch``;
-* **dirty-frame views**: consumers register a view and periodically
-  drain the set of frames mutated since their last drain, giving the
-  batch "only re-examine frames whose generation advanced" pattern.
+Beside the digests sits a per-frame **generation counter** bumped on
+every mutation (unlike :meth:`PhysicalMemory.version`, which
+deliberately ignores ``corrupt_bit`` to model one-way Rowhammer charge
+leakage); the scan kernel's generation snapshot/delta primitives read
+it.
 """
 
 from __future__ import annotations
@@ -69,59 +64,27 @@ class FingerprintStats:
         }
 
 
-class DirtyFrameView:
-    """One consumer's view of the frames mutated since its last drain."""
-
-    __slots__ = ("name", "_dirty")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._dirty: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._dirty)
-
-    def note(self, pfn: int) -> None:
-        self._dirty.add(pfn)
-
-    def peek(self) -> frozenset[int]:
-        """Return the pending dirty set without clearing it."""
-        return frozenset(self._dirty)
-
-    def drain(self) -> frozenset[int]:
-        """Return and clear the frames mutated since the last drain."""
-        if not self._dirty:
-            return frozenset()
-        dirty = frozenset(self._dirty)
-        self._dirty.clear()
-        return dirty
-
-
 class FingerprintCache:
     """Frame digests with generation-based change tracking.
 
     Owned by :class:`~repro.mem.physmem.PhysicalMemory`, whose content
     column ``cids`` (one arena content id per frame) it reads through;
     all mutation paths funnel through :meth:`note_mutation`.
-    Generations, the mutation epoch and dirty views are maintained even
-    when caching is disabled — they are behaviour-neutral bookkeeping —
-    so the ``fingerprint_enabled`` flag toggles only whether blake2b
-    results are remembered.
+    Generations are maintained even when caching is disabled — they are
+    behaviour-neutral bookkeeping — so the ``fingerprint_enabled`` flag
+    toggles only whether blake2b results are remembered.
     """
 
     def __init__(self, arena: "ContentArena", cids: "array[int]",
                  enabled: bool = True) -> None:
         self.enabled = enabled
         self.stats = FingerprintStats()
-        #: Bumped once per mutation of any frame.
-        self.mutation_epoch = 0
         self._arena = arena
         self._cids = cids
         #: Per-frame generation counters in a fixed-size signed-64
         #: column (never reallocated), so the batch scan kernel can
         #: hold a zero-copy view for generation-delta filtering.
         self._generations = array("q", bytes(8 * len(cids)))
-        self._views: list[DirtyFrameView] = []
 
     # ------------------------------------------------------------------
     # Write barrier
@@ -129,10 +92,7 @@ class FingerprintCache:
     def note_mutation(self, pfn: int) -> None:
         """Record that frame ``pfn``'s content changed (any cause)."""
         self._generations[pfn] += 1
-        self.mutation_epoch += 1
         self.stats.mutations += 1
-        for view in self._views:
-            view.note(pfn)
 
     # ------------------------------------------------------------------
     # Queries
@@ -164,12 +124,3 @@ class FingerprintCache:
             pfn for pfn, cid in enumerate(self._cids)
             if peek(cid) is not None
         )
-
-    # ------------------------------------------------------------------
-    # Dirty views
-    # ------------------------------------------------------------------
-    def register_view(self, name: str) -> DirtyFrameView:
-        """Register a new dirty-frame view (initially empty)."""
-        view = DirtyFrameView(name)
-        self._views.append(view)
-        return view

@@ -36,7 +36,7 @@ from typing import Iterator
 from repro.errors import InvalidFrameError
 from repro.mem.arena import ContentArena, ZERO_ID
 from repro.mem.content import PageContent, flip_bit
-from repro.mem.fingerprint import DirtyFrameView, FingerprintCache
+from repro.mem.fingerprint import FingerprintCache
 from repro.mem.scankernel import BatchScanKernel
 from repro.params import PAGE_SIZE
 
@@ -307,20 +307,10 @@ class PhysicalMemory:
         """Mutation generation of ``pfn``.
 
         Unlike :meth:`version`, this is bumped by **every** mutation
-        including :meth:`corrupt_bit` — engines use it to prove "page
-        unchanged since last pass", and a Rowhammer flip is a change.
+        including :meth:`corrupt_bit`: a Rowhammer flip is a change.
         """
         self.check_pfn(pfn)
         return self.fingerprints.generation(pfn)
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Global counter of frame mutations (any frame, any cause)."""
-        return self.fingerprints.mutation_epoch
-
-    def register_dirty_view(self, name: str) -> DirtyFrameView:
-        """Register a drainable view of frames mutated from now on."""
-        return self.fingerprints.register_view(name)
 
     # ------------------------------------------------------------------
     # Reference counting

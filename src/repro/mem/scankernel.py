@@ -16,10 +16,10 @@ module turns the questions into batch primitives over the cid column:
   :meth:`~ScalarScanKernel.group_by_content`: partition a candidate
   batch by content identity, preserving first-encounter order exactly
   like the scalar ``merge_key`` loop it replaces;
-* **dirty-set intersection** —
+* **set intersection** —
   :meth:`~ScalarScanKernel.dirty_intersection` /
-  :meth:`~ScalarScanKernel.any_fused`: intersect a drained dirty view
-  with a candidate list or the fusion-pinned set;
+  :meth:`~ScalarScanKernel.any_fused`: intersect a frame set with a
+  candidate list or the fusion-pinned set;
 * **generation-delta filtering** —
   :meth:`~ScalarScanKernel.generation_snapshot` /
   :meth:`~ScalarScanKernel.changed_since`: keep only the frames whose
@@ -153,12 +153,7 @@ class ScalarScanKernel:
         return [pfn for pfn in pfns if pfn in members]
 
     def any_fused(self, pfns: Iterable[int]) -> bool:
-        """Whether any frame in ``pfns`` is fusion-pinned.
-
-        The dirty-audit primitive: engines intersect a drained dirty
-        view with the pinned set to detect stable-tree content
-        mutations (the one hazard per-memo generation gates miss).
-        """
+        """Whether any frame in ``pfns`` is fusion-pinned."""
         is_fused = self.physmem.is_fused
         return any(is_fused(pfn) for pfn in pfns)
 

@@ -56,11 +56,6 @@ class AddressSpace:
         self.page_table = PageTable()
         self._vmas: list[Vma] = []
         self._mmap_cursor = MMAP_BASE
-        #: Layout epoch: bumped whenever the set of scannable pages can
-        #: change (VMA added/removed, mergeable toggled).  Scan caches
-        #: combine it with :attr:`PageTable.version` to detect topology
-        #: changes without re-walking every VMA.
-        self.epoch = 0
 
     # ------------------------------------------------------------------
     # VMA management
@@ -94,13 +89,11 @@ class AddressSpace:
             thp_allowed=thp_allowed,
         )
         self._vmas.append(vma)
-        self.epoch += 1
         return vma
 
     def remove_vma(self, vma: Vma) -> None:
         """Forget a VMA (the kernel unmaps its pages first)."""
         self._vmas.remove(vma)
-        self.epoch += 1
 
     def vma_at(self, vaddr: int) -> Vma:
         """Return the VMA containing ``vaddr`` or raise a segfault."""
@@ -117,8 +110,6 @@ class AddressSpace:
 
     def madvise_mergeable(self, vma: Vma, mergeable: bool = True) -> None:
         """Toggle ``MADV_MERGEABLE`` on a VMA (the KSM opt-in)."""
-        if vma.mergeable != mergeable:
-            self.epoch += 1
         vma.mergeable = mergeable
 
     @property

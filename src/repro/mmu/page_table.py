@@ -67,9 +67,8 @@ class PageTable:
     def __init__(self) -> None:
         self._root: dict[int, dict] = {}
         #: Structure version: bumped by every mapping change (map,
-        #: unmap, split, collapse).  Scan caches use it to prove a
-        #: translation result is still current without re-walking.
-        #: In-place PTE *flag* edits do not bump it.
+        #: unmap, split, collapse).  In-place PTE *flag* edits do not
+        #: bump it.
         self.version = 0
 
     # ------------------------------------------------------------------

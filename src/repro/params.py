@@ -218,9 +218,9 @@ class MachineSpec:
     dram: DramGeometry = field(default_factory=DramGeometry)
     costs: CostModel = field(default_factory=CostModel)
     seed: int = 1017
-    #: Cache per-frame content digests and replay unchanged scan work.
-    #: Pure Python-level optimisation: simulated time and behaviour are
-    #: identical either way (tests/test_fingerprint_determinism.py).
+    #: Cache per-frame content digests in the content arena.  Pure
+    #: Python-level optimisation: simulated time, behaviour and payloads
+    #: are identical either way (tests/test_fingerprint_determinism.py).
     fingerprint_enabled: bool = True
 
     @property

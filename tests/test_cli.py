@@ -123,6 +123,19 @@ class TestRunCommand:
         assert main(["run", "--no-artifacts"]) == 2
         assert "no selectors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_run_shards_without_serial_rejected(self, how, monkeypatch,
+                                                capsys):
+        # Pool workers cannot start a shard pool; without --serial the
+        # shards would silently run in-process.
+        argv = ["run", "fleet:smoke-sharded@ksm", "--no-artifacts"]
+        if how == "flag":
+            argv += ["--shards", "2"]
+        else:
+            monkeypatch.setenv("REPRO_SHARDS", "2")
+        assert main(argv) == 2
+        assert "need --serial" in capsys.readouterr().err
+
 
 class TestRemovedShims:
     """The PR 2 deprecation shims are gone after their cycle."""

@@ -11,6 +11,7 @@ figure in the reproduction would silently depend on a cache flag.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -20,8 +21,11 @@ from repro.fusion.cow_ksm import CopyOnAccessKsm
 from repro.fusion.ksm import Ksm
 from repro.fusion.memory_combining import MemoryCombining
 from repro.fusion.wpf import WindowsPageFusion
+from repro.harness import scenario
+from repro.harness.fleet import FLEET_PRESETS, run_fleet
 from repro.kernel.kernel import Kernel
 from repro.mem.content import tagged_content
+from repro.mem.fingerprint import FingerprintStats
 from repro.params import (
     FusionConfig,
     MachineSpec,
@@ -31,6 +35,8 @@ from repro.params import (
     VusionConfig,
     WpfConfig,
 )
+
+from tests.test_payload_digests import sha256_json
 
 FAST = FusionConfig(pages_per_scan=64, scan_interval=20 * MS)
 
@@ -121,8 +127,34 @@ def test_same_seed_same_run_is_reproducible():
     assert first == second
 
 
-def test_replay_counters_stay_out_of_fusion_stats():
-    """Replay bookkeeping must not leak into deterministic statistics."""
+def test_digest_cache_counters_stay_out_of_fusion_stats():
+    """Digest-cache bookkeeping must not leak into deterministic
+    statistics: its counters live on the fingerprint cache only."""
     result = run_workload("ksm", fingerprint_enabled=True)
+    cache_counters = set(FingerprintStats().as_dict())
+    assert cache_counters.isdisjoint(result["fusion_stats"])
+    assert cache_counters.isdisjoint(result["kernel_stats"])
     for key in result["fusion_stats"]:
-        assert "replay" not in key and "fingerprint" not in key
+        assert "digest" not in key and "fingerprint" not in key
+
+
+def fleet_payload_digest(preset: str, system: str) -> str:
+    result = run_fleet(FLEET_PRESETS[preset].spec(system=system))
+    return sha256_json(result.to_payload())
+
+
+@pytest.mark.parametrize(
+    "preset,system",
+    [(preset, system) for preset in ("smoke", "churn")
+     for system in ("ksm", "vusion")],
+)
+def test_fingerprint_knob_is_payload_neutral(preset, system, monkeypatch):
+    """A whole fleet preset's payload is a pure function of its spec and
+    seed: switching the digest cache off must not move one byte."""
+    on = fleet_payload_digest(preset, system)
+    monkeypatch.setattr(
+        scenario, "MachineSpec",
+        functools.partial(MachineSpec, fingerprint_enabled=False),
+    )
+    off = fleet_payload_digest(preset, system)
+    assert on == off, f"{preset}/{system}: cache on {on} != cache off {off}"

@@ -4,14 +4,15 @@ The fingerprint engine is an optimisation layered under every fusion
 engine, so its correctness contract is differential: for any
 interleaving of writes, Rowhammer bit flips, merges, unmerges and scan
 activity, a cached digest must always equal the digest of the frame's
-*current* content, and the dirty-frame bookkeeping must be exact — no
-stale hits (a mutated frame still reporting its old digest) and no
-spurious misses (an untouched frame reported dirty).
+*current* content, and the per-frame generation counters must be exact
+— no stale hits (a mutated frame still reporting its old digest or
+generation) and no spurious bumps (an untouched frame's generation
+advancing).
 
 Two layers are exercised:
 
 * raw :class:`~repro.mem.physmem.PhysicalMemory` operation sequences,
-  with the expected dirty set tracked independently by the test;
+  with the expected generations tracked independently by the test;
 * full kernels running each fusion engine, where merges/unmerges/
   rerandomisation move pages between frames behind the workload's
   back.
@@ -68,7 +69,6 @@ raw_op = st.one_of(
         st.integers(0, RAW_FRAMES - 1),
         st.just(0),
     ),
-    st.tuples(st.just("drain"), st.just(0), st.just(0)),
 )
 
 
@@ -97,26 +97,21 @@ STORES = ["columnar"]
 )
 @given(ops=st.lists(raw_op, min_size=1, max_size=120))
 def test_raw_operation_sequences(store, ops):
-    """Digest cache and dirty views stay exact under arbitrary ops."""
+    """Digest cache and generations stay exact under arbitrary ops."""
     physmem = PhysicalMemory(RAW_FRAMES)
     assert physmem.store_kind == store
-    view = physmem.register_dirty_view("test")
-    expected_dirty: set[int] = set()
     expected_generations = [0] * RAW_FRAMES
 
     for action, a, b in ops:
         if action == "write":
             physmem.write(a, tagged_content("raw", b))
-            expected_dirty.add(a)
             expected_generations[a] += 1
         elif action == "copy":
             physmem.copy(a, b)
-            expected_dirty.add(b)
             expected_generations[b] += 1
         elif action == "corrupt":
             version_before = physmem.version(a)
             physmem.corrupt_bit(a, b, b % 8)
-            expected_dirty.add(a)
             expected_generations[a] += 1
             # Rowhammer must invalidate the digest but never the
             # charge-recharge version (one-way discharge model).
@@ -128,18 +123,14 @@ def test_raw_operation_sequences(store, ops):
             assert peeked is None or peeked == content_digest(
                 physmem.peek_content(a)
             )
-        elif action == "digest":
+        else:  # digest
             assert physmem.digest(a) == content_digest(physmem.read(a))
-        else:  # drain
-            assert view.drain() == frozenset(expected_dirty)
-            expected_dirty.clear()
 
         assert_cache_fresh(physmem)
-        assert view.peek() == frozenset(expected_dirty)
         for pfn in range(RAW_FRAMES):
             assert physmem.generation(pfn) == expected_generations[pfn]
 
-    assert physmem.mutation_epoch == sum(expected_generations)
+    assert physmem.fingerprints.stats.mutations == sum(expected_generations)
     # A second digest of every frame is a cache hit and still fresh.
     for pfn in range(RAW_FRAMES):
         first = physmem.digest(pfn)
@@ -204,9 +195,8 @@ def frame_of(process, vaddr: int) -> int | None:
     return walk.frame_for(vaddr)
 
 
-def check_dirty_exactness(physmem, view, contents_before, gens_before) -> None:
-    """changed-content ⊆ drained dirty set == generation-advanced set."""
-    drained = view.drain()
+def check_generation_exactness(physmem, contents_before, gens_before) -> None:
+    """Every frame whose content changed has an advanced generation."""
     changed = {
         pfn
         for pfn in range(physmem.num_frames)
@@ -219,10 +209,7 @@ def check_dirty_exactness(physmem, view, contents_before, gens_before) -> None:
         for pfn in range(physmem.num_frames)
         if physmem.generation(pfn) != gens_before[pfn]
     }
-    assert changed <= drained, f"stale dirty view: missed {changed - drained}"
-    assert drained == advanced, (
-        f"dirty view out of step with generations: {drained ^ advanced}"
-    )
+    assert changed <= advanced, f"stale generations: missed {changed - advanced}"
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
@@ -237,7 +224,6 @@ def test_engine_interleavings_keep_digests_fresh(engine_name, ops):
     kernel = Kernel(small_spec(frames=1024))
     kernel.attach_fusion(ENGINES[engine_name]())
     physmem = kernel.physmem
-    view = physmem.register_dirty_view("differential-test")
     processes = [kernel.create_process(f"p{i}") for i in range(NUM_PROCS)]
     vmas = [p.mmap(PAGES_PER_PROC, mergeable=True) for p in processes]
     # Duplicate-heavy seed so merges actually happen.
@@ -246,7 +232,6 @@ def test_engine_interleavings_keep_digests_fresh(engine_name, ops):
             process.write(
                 vma.start + index * PAGE_SIZE, tagged_content("seed", index % 4)
             )
-    view.drain()
 
     for action, proc_index, page_index, salt in ops:
         process = processes[proc_index]
@@ -267,7 +252,7 @@ def test_engine_interleavings_keep_digests_fresh(engine_name, ops):
             kernel.idle(30 * MS * (salt + 1))
 
         assert_cache_fresh(physmem)
-        check_dirty_exactness(physmem, view, contents_before, gens_before)
+        check_generation_exactness(physmem, contents_before, gens_before)
 
     # Settle all daemons, then one last full-freshness sweep including
     # an explicit digest of every mapped frame (forces cache fills).
@@ -275,7 +260,7 @@ def test_engine_interleavings_keep_digests_fresh(engine_name, ops):
     gens_before = [physmem.generation(pfn) for pfn in range(physmem.num_frames)]
     kernel.idle(SECOND)
     assert_cache_fresh(physmem)
-    check_dirty_exactness(physmem, view, contents_before, gens_before)
+    check_generation_exactness(physmem, contents_before, gens_before)
     for pfn in physmem.mapped_frames():
         assert physmem.digest(pfn) == content_digest(physmem.read(pfn))
     assert_cache_fresh(physmem)

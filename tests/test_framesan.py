@@ -88,7 +88,7 @@ class TestActivation:
             process.munmap(vma)
             return (
                 kernel.clock.now,
-                kernel.physmem.mutation_epoch,
+                kernel.physmem.fingerprints.stats.mutations,
                 kernel.buddy.free_frames(),
             )
 

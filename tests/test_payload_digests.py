@@ -38,7 +38,7 @@ from repro.runner import TaskSpec, canonical_json, execute_task
 from tests.test_fingerprint_differential import ENGINES
 
 PINNED = {
-    "ksm": "60d2c5f4e1af26ce9d46a12c322dbbfc175969ff167ab6ec88d2f9baa50fcf31",
+    "ksm": "7baa8ecee89abe2f7e1158a350ee699987392b991689f1aec2fcebc6f90017ab",
     "vusion": "f654f908044a78c6fa65d08c499c8c417bc68b9512a060135aecb959bd7ee4cc",
 }
 
@@ -81,6 +81,13 @@ CHANGE_POLICY = (
     "A digest may change only with a deliberate model change; log that "
     "change and the new digest in CHANGES.md before updating the pin."
 )
+
+# Pin log (each entry also in CHANGES.md):
+# * smoke/ksm 60d2c5f4... -> 7baa8ece...: incremental scan replay was
+#   deleted.  Replayed KSM steps did not reproduce the real scan's tree
+#   compares, so the old pin depended on the fingerprint knob; the new
+#   digest is the real scan path's output, the digest the old code gave
+#   with fingerprint_enabled=False.  Every other pin held unchanged.
 
 
 def sha256_json(value) -> str:

@@ -297,7 +297,7 @@ class TestMem003ScanLoops:
         assert "refcount_sum" in findings[0].message
 
     def test_flags_fused_probe(self):
-        findings = lint(self.BAD_PROBE, "repro.fusion.incremental", ["MEM003"])
+        findings = lint(self.BAD_PROBE, "repro.fusion.ksm", ["MEM003"])
         assert rule_ids(findings) == ["MEM003"]
         assert "any_fused" in findings[0].message
 

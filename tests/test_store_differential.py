@@ -69,11 +69,9 @@ class ReferenceMemory:
         self._generations = [0] * num_frames
         self._types = [FrameType.FREE] * num_frames
         self._rmap: dict[int, set[tuple[int, int]]] = {}
-        self.mutation_epoch = 0
 
     def _mutated(self, pfn: int) -> None:
         self._generations[pfn] += 1
-        self.mutation_epoch += 1
 
     def write(self, pfn: int, content: PageContent) -> None:
         self._contents[pfn] = content
@@ -149,7 +147,6 @@ def observables(physmem: PhysicalMemory) -> tuple:
         physmem.contents_snapshot(),
         [physmem.version(pfn) for pfn in range(physmem.num_frames)],
         [physmem.generation(pfn) for pfn in range(physmem.num_frames)],
-        physmem.mutation_epoch,
         physmem.frames_in_use(),
         physmem.type_histogram(),
         list(physmem.mapped_frames()),
