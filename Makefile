@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test sanitize bench
+.PHONY: check lint test sanitize bench perf
 
 ## check: everything CI gates on — simlint + tier-1 tests under FrameSan
 check: lint sanitize
@@ -32,3 +32,11 @@ bench:
 	    benchmarks/test_lint_throughput.py \
 	    benchmarks/test_fleet_scale.py \
 	    benchmarks/test_shard_scaling.py
+
+## perf: the end-to-end benchmark declared in BENCHMARK.json, all
+## three perfbench workloads untraced (about 40 s each).  For a
+## per-layer breakdown run one workload with --trace 1.
+perf:
+	$(PYTHON) perfbench/run.py --workload fleet-ksm --seconds 40 --trace 0
+	$(PYTHON) perfbench/run.py --workload fleet-vusion --seconds 40 --trace 0
+	$(PYTHON) perfbench/run.py --workload shard-1m --seconds 40 --trace 0

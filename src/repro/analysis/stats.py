@@ -2,33 +2,33 @@
 
 from __future__ import annotations
 
+import importlib.util
 import statistics
 from dataclasses import dataclass
 
 # SciPy ships with the `repro[fast]` extra; only the two KS helpers
 # below need it, and they are exercised by the Fig. 5/6 benchmarks,
-# never by tier-1.  The guard keeps the whole analysis package (and
-# everything importing it) usable on a dependency-free install.
-try:
-    from scipy import stats as scipy_stats
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    scipy_stats = None
-    HAVE_SCIPY = False
+# never by tier-1.  It is imported on the first KS call, not at module
+# import: ``scipy.stats`` costs about a second and tens of MB of every
+# cold start, and most runs never test a distribution.  The guard keeps
+# the whole analysis package (and everything importing it) usable on a
+# dependency-free install.
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
-def _require_scipy():
-    if scipy_stats is None:
+def _scipy_stats():
+    if not HAVE_SCIPY:
         raise RuntimeError(
             "KS statistics require SciPy; install the repro[fast] extra"
         )
+    from scipy import stats
+
+    return stats
 
 
 def ks_2samp_pvalue(sample_a, sample_b) -> float:
     """Two-sample Kolmogorov-Smirnov p-value (Fig. 6's SB check)."""
-    _require_scipy()
-    result = scipy_stats.ks_2samp(sample_a, sample_b)
+    result = _scipy_stats().ks_2samp(sample_a, sample_b)
     return float(result.pvalue)
 
 
@@ -36,9 +36,8 @@ def ks_uniform_pvalue(values, low: float, high: float) -> float:
     """KS goodness-of-fit against Uniform[low, high) (the RA check)."""
     if high <= low:
         raise ValueError("empty interval")
-    _require_scipy()
     scaled = [(v - low) / (high - low) for v in values]
-    result = scipy_stats.kstest(scaled, "uniform")
+    result = _scipy_stats().kstest(scaled, "uniform")
     return float(result.pvalue)
 
 

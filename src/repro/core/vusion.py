@@ -104,13 +104,11 @@ class Vusion(FusionEngine):
     # Registration
     # ------------------------------------------------------------------
     def _register(self, kernel: "Kernel") -> None:
-        def charge() -> None:
-            kernel.clock.advance(kernel.costs.tree_compare)
+        def charge(count: int) -> None:
+            kernel.clock.advance(count * kernel.costs.tree_compare)
 
         self.cursor = ScanCursor(kernel)
-        self.stable = RedBlackTree(
-            key_of=lambda node: kernel.physmem.read(node.pfn), on_compare=charge
-        )
+        self.stable = RedBlackTree(kernel.physmem.read, on_compare=charge)
         self.pool = RandomFramePool(
             kernel, self.config.random_pool_frames, seed=kernel.spec.seed + 1
         )

@@ -2,9 +2,11 @@
 
 WPF stores already-fused pages in "multiple AVL trees that have the
 same functionality as KSM's stable tree" (paper §2.2).  Keys here are
-stable (fused pages are read-only), so a classic recursive AVL with
-static keys is faithful.  ``on_compare`` charges simulated time per
-content comparison, like the red-black tree.
+stable (fused pages are read-only), so a classic AVL with
+static keys is faithful.  Like the red-black tree, every operation
+counts its content comparisons and reports them with one
+``on_compare(count)`` call, which the engine charges as
+``count * tree_compare``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _balance(node: "_AvlNode[T]") -> int:
 class AvlTree(Generic[T]):
     """Self-balancing AVL tree mapping content keys to values."""
 
-    def __init__(self, on_compare: Callable[[], None] | None = None) -> None:
+    def __init__(self, on_compare: Callable[[int], object] | None = None) -> None:
         self._root: "_AvlNode[T] | None" = None
         self._on_compare = on_compare
         self._size = 0
@@ -44,26 +46,29 @@ class AvlTree(Generic[T]):
     def __len__(self) -> int:
         return self._size
 
-    def _compare(self, key: bytes, node_key: bytes) -> int:
+    def _charge(self, count: int) -> None:
         if self._on_compare is not None:
-            self._on_compare()
-        if key < node_key:
-            return -1
-        if key > node_key:
-            return 1
-        return 0
+            self._on_compare(count)
 
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
     def search(self, key: bytes) -> T | None:
         node = self._root
+        count = 0
+        found = None
         while node is not None:
-            order = self._compare(key, node.key)
-            if order == 0:
-                return node.value
-            node = node.left if order < 0 else node.right
-        return None
+            count += 1
+            node_key = node.key
+            if key < node_key:
+                node = node.left
+            elif key > node_key:
+                node = node.right
+            else:
+                found = node.value
+                break
+        self._charge(count)
+        return found
 
     def __contains__(self, key: bytes) -> bool:
         return self.search(key) is not None
@@ -72,36 +77,51 @@ class AvlTree(Generic[T]):
     # Insert / delete
     # ------------------------------------------------------------------
     def insert(self, key: bytes, value: T) -> None:
-        self._root = self._insert(self._root, key, value)
+        path: list[tuple["_AvlNode[T]", bool]] = []
+        node = self._root
+        count = 0
+        while node is not None:
+            count += 1
+            node_key = node.key
+            if key < node_key:
+                path.append((node, True))
+                node = node.left
+            elif key > node_key:
+                path.append((node, False))
+                node = node.right
+            else:
+                self._charge(count)
+                raise ValueError(f"duplicate key {key!r}")
+        subtree = _AvlNode(key, value)
+        for parent, went_left in reversed(path):
+            if went_left:
+                parent.left = subtree
+            else:
+                parent.right = subtree
+            subtree = self._rebalance(parent)
+        self._root = subtree
         self._size += 1
-
-    def _insert(self, node: "_AvlNode[T] | None", key: bytes, value: T) -> "_AvlNode[T]":
-        if node is None:
-            return _AvlNode(key, value)
-        order = self._compare(key, node.key)
-        if order == 0:
-            raise ValueError(f"duplicate key {key!r}")
-        if order < 0:
-            node.left = self._insert(node.left, key, value)
-        else:
-            node.right = self._insert(node.right, key, value)
-        return self._rebalance(node)
+        self._charge(count)
 
     def remove(self, key: bytes) -> T:
-        self._root, removed = self._remove(self._root, key)
+        counter = [0]
+        try:
+            self._root, removed = self._remove(self._root, key, counter)
+        finally:
+            self._charge(counter[0])
         self._size -= 1
         return removed
 
     def _remove(
-        self, node: "_AvlNode[T] | None", key: bytes
+        self, node: "_AvlNode[T] | None", key: bytes, counter: list[int]
     ) -> tuple["_AvlNode[T] | None", T]:
         if node is None:
             raise KeyError(key)
-        order = self._compare(key, node.key)
-        if order < 0:
-            node.left, removed = self._remove(node.left, key)
-        elif order > 0:
-            node.right, removed = self._remove(node.right, key)
+        counter[0] += 1
+        if key < node.key:
+            node.left, removed = self._remove(node.left, key, counter)
+        elif key > node.key:
+            node.right, removed = self._remove(node.right, key, counter)
         else:
             removed = node.value
             if node.left is None:
@@ -112,7 +132,7 @@ class AvlTree(Generic[T]):
             while successor.left is not None:
                 successor = successor.left
             node.key, node.value = successor.key, successor.value
-            node.right, _ = self._remove(node.right, successor.key)
+            node.right, _ = self._remove(node.right, successor.key, counter)
         return self._rebalance(node), removed
 
     # ------------------------------------------------------------------

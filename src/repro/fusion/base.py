@@ -62,12 +62,16 @@ class ScanCursor:
         self._vma_index = 0
         self._page_index = 0
         self._started = False
+        #: Rebuilds so far (the first build included); ``next_pages``
+        #: uses it to stop a batch at its second wrap.
+        self._rebuilds = 0
         self.full_scans = 0
 
     def _rebuild(self) -> None:
         if self._started and self._items:
             self.full_scans += 1
         self._started = True
+        self._rebuilds += 1
         self._items = [
             (process, vma)
             for process in self._kernel.processes
@@ -77,31 +81,52 @@ class ScanCursor:
         self._vma_index = 0
         self._page_index = 0
 
-    def next_pages(self, count: int) -> list[tuple["Process", Vma, int]]:
-        """Return up to ``count`` ``(process, vma, vaddr)`` scan targets."""
-        result: list[tuple["Process", Vma, int]] = []
-        rebuilds = 0
-        while len(result) < count:
-            if self._vma_index >= len(self._items):
+    def next_page(self) -> tuple["Process", Vma, int] | None:
+        """Return the next ``(process, vma, vaddr)`` scan target.
+
+        Skips pages of processes that died and of VMAs unmapped since
+        the last rebuild (an identity test: an equal-valued twin of a
+        removed VMA does not keep it alive).  At the end of the list
+        the cursor rebuilds; ``None`` means the rebuilt list is empty
+        (nothing is mergeable) or yielded no page before a second
+        rebuild.
+        """
+        items = self._items
+        rebuilt = False
+        while True:
+            if self._vma_index >= len(items):
                 self._rebuild()
-                rebuilds += 1
-                if not self._items or rebuilds > 1:
-                    break
-            process, vma = self._items[self._vma_index]
-            if (
-                not process.alive
-                or vma not in process.address_space.vmas
-            ):
-                self._vma_index += 1
-                self._page_index = 0
-                continue
-            vaddr = vma.start + self._page_index * PAGE_SIZE
-            if vaddr >= vma.end:
-                self._vma_index += 1
-                self._page_index = 0
-                continue
-            result.append((process, vma, vaddr))
-            self._page_index += 1
+                items = self._items
+                if not items or rebuilt:
+                    return None
+                rebuilt = True
+            process, vma = items[self._vma_index]
+            if process.alive and process.address_space.has_vma(vma):
+                vaddr = vma.start + self._page_index * PAGE_SIZE
+                if vaddr < vma.end:
+                    self._page_index += 1
+                    return process, vma, vaddr
+            self._vma_index += 1
+            self._page_index = 0
+
+    def next_pages(self, count: int) -> list[tuple["Process", Vma, int]]:
+        """Return up to ``count`` scan targets: :meth:`next_page` in a loop.
+
+        A batch crosses at most one rebuild.  When a second rebuild
+        happens inside one batch, the target it produced is handed
+        back (the cursor steps back onto it) and the batch ends, so
+        the next batch starts the new round.
+        """
+        result: list[tuple["Process", Vma, int]] = []
+        rebuilds = self._rebuilds
+        while len(result) < count:
+            target = self.next_page()
+            if target is None:
+                break
+            if self._rebuilds - rebuilds > 1:
+                self._page_index -= 1
+                break
+            result.append(target)
         return result
 
 

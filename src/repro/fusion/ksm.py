@@ -90,16 +90,12 @@ class Ksm(FusionEngine):
     # Registration
     # ------------------------------------------------------------------
     def _register(self, kernel: "Kernel") -> None:
-        def charge() -> None:
-            kernel.clock.advance(kernel.costs.tree_compare)
+        def charge(count: int) -> None:
+            kernel.clock.advance(count * kernel.costs.tree_compare)
 
         self.cursor = ScanCursor(kernel)
-        self.stable = RedBlackTree(
-            key_of=lambda node: kernel.physmem.read(node.pfn), on_compare=charge
-        )
-        self.unstable = RedBlackTree(
-            key_of=lambda ref: kernel.physmem.read(ref.pfn), on_compare=charge
-        )
+        self.stable = RedBlackTree(kernel.physmem.read, on_compare=charge)
+        self.unstable = RedBlackTree(kernel.physmem.read, on_compare=charge)
         kernel.register_daemon("ksmd", self.config.scan_interval, self.scan_tick)
 
     # ------------------------------------------------------------------
@@ -107,20 +103,21 @@ class Ksm(FusionEngine):
     # ------------------------------------------------------------------
     def scan_tick(self) -> None:
         kernel = self.kernel
+        cursor = self.cursor
         self.stats.scans += 1
         for _ in range(self.config.pages_per_scan):
-            full_scans_before = self.cursor.full_scans
-            batch = self.cursor.next_pages(1)
-            if self.cursor.full_scans != full_scans_before:
+            full_scans_before = cursor.full_scans
+            target = cursor.next_page()
+            if cursor.full_scans != full_scans_before:
                 # The cursor wrapped: a full pass over all candidates
                 # completed and KSM rebuilds the unstable tree from
                 # scratch — exactly at the wrap point, so scan order
                 # within a round is strictly registration order.
                 self.unstable.clear()
-                self.stats.full_scans = self.cursor.full_scans
-            if not batch:
+                self.stats.full_scans = cursor.full_scans
+            if target is None:
                 break
-            process, _vma, vaddr = batch[0]
+            process, _vma, vaddr = target
             kernel.clock.advance(kernel.costs.scan_page)
             self.stats.pages_scanned += 1
             self._scan_one(process, vaddr)
@@ -212,6 +209,20 @@ class Ksm(FusionEngine):
         kernel.emit("fusion:promote", pid=match.pid, vaddr=match.vaddr, pfn=match.pfn)
         return node
 
+    def _release_scanned_frame(self, pfn: int, refcount: int) -> None:
+        """Release the frame a merge just remapped away from.
+
+        A scanned page is never fused (``_scan_one`` skips fused PTEs),
+        so this is :meth:`Kernel.release_after_unmap`'s free path.  Freeing
+        after the remap instead of between an unmap and a map commutes:
+        the free touches only the old frame, the buddy allocator and a
+        clock charge, and the map touches none of them.  (FrameSan's
+        diagnostic provenance trail stamps the free one ``pte_update``
+        later.)
+        """
+        if refcount == 0:
+            self.kernel.free_frame(pfn)
+
     def _merge_zero_page(self, process: "Process", vaddr: int, walk) -> None:
         """Map an all-zero candidate onto the kernel's shared zero page."""
         from repro.kernel.kernel import ZERO_FRAME
@@ -221,9 +232,10 @@ class Ksm(FusionEngine):
             return
         if walk.huge:
             kernel.split_huge_mapping(process, vaddr)
-        old_pfn, refcount, old_pte = kernel.unmap_page(process, vaddr)
-        kernel.release_after_unmap(old_pfn, refcount, old_pte)
-        kernel.map_page(process, vaddr, ZERO_FRAME, self._fused_flags())
+        old_pfn, refcount = kernel.remap_page(
+            process, vaddr, ZERO_FRAME, self._fused_flags()
+        )
+        self._release_scanned_frame(old_pfn, refcount)
         self._zero_mapped += 1
         self.stats.merges += 1
 
@@ -233,9 +245,10 @@ class Ksm(FusionEngine):
         walk = process.address_space.page_table.walk(vaddr)
         if walk.huge:
             kernel.split_huge_mapping(process, vaddr)
-        old_pfn, refcount, old_pte = kernel.unmap_page(process, vaddr)
-        kernel.release_after_unmap(old_pfn, refcount, old_pte)
-        kernel.map_page(process, vaddr, node.pfn, self._fused_flags())
+        old_pfn, refcount = kernel.remap_page(
+            process, vaddr, node.pfn, self._fused_flags()
+        )
+        self._release_scanned_frame(old_pfn, refcount)
         self.stats.merges += 1
         self.stats.merge_frame_log.append(node.pfn)
         kernel.emit("fusion:merge", pid=process.pid, vaddr=vaddr, pfn=node.pfn)
@@ -248,8 +261,7 @@ class Ksm(FusionEngine):
         kernel = self.kernel
         new_pfn = kernel.alloc_frame(FrameType.ANON)
         kernel.copy_page_cached(node_pfn, new_pfn)
-        kernel.unmap_page(process, vaddr)
-        kernel.map_page(
+        kernel.remap_page(
             process, vaddr, new_pfn, PteFlags.USER | PteFlags.WRITABLE
         )
         self._note_fused_unmapped(node_pfn)

@@ -5,9 +5,18 @@ of the pages they index.  Stable-tree keys never change (stable pages
 are read-only), but unstable-tree pages are unprotected and may be
 rewritten after insertion — so the unstable tree "is not always
 perfectly balanced" (paper §2.1) and lookups can miss.  The simulator
-reproduces that honestly: keys are read through a callback at
-comparison time, and the whole unstable tree is reset every scan
-cycle, exactly like the real KSM.
+reproduces that honestly: every comparison reads the stored page's
+*current* content (``read(value.pfn)``), and the whole unstable tree
+is reset every scan cycle, exactly like the real KSM.
+
+Charge contract: ``search`` and ``insert`` count their content
+comparisons and report them with one ``on_compare(count)`` call per
+operation; the engines charge ``count * tree_compare``.  Each
+comparison reads exactly one key, so ``count`` always equals the keys
+read by the operation (insert reads the new value's own key, standing
+in for its final compare against the parent).  Nothing in a tree
+operation reads the simulated clock, so charging once per operation
+instead of once per comparison moves no simulated observable.
 
 Deletion never relies on key comparisons (a node whose key drifted can
 still be unlinked): values map to their nodes directly.
@@ -15,9 +24,16 @@ still be unlinked): values map to their nodes directly.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Hashable, Iterator, TypeVar
+from typing import Callable, Generic, Iterator, Protocol, TypeVar
 
-T = TypeVar("T", bound=Hashable)
+
+class _Keyed(Protocol):
+    """A stored value: hashable, keyed by the content of frame ``pfn``."""
+
+    pfn: int
+
+
+T = TypeVar("T", bound=_Keyed)
 
 RED = True
 BLACK = False
@@ -37,19 +53,19 @@ class _Node(Generic[T]):
 class RedBlackTree(Generic[T]):
     """CLRS-style red-black tree with live (possibly drifting) keys.
 
-    ``key_of(value)`` returns the current comparison key of a stored
-    value; it is invoked on every comparison, so key drift after
-    insertion degrades search exactly as in KSM's unstable tree.
-    ``on_compare`` is called once per comparison and lets the fusion
-    engines charge simulated time for content comparisons.
+    A stored value's key is ``read(value.pfn)``, read afresh on every
+    comparison, so key drift after insertion degrades search exactly
+    as in KSM's unstable tree.  ``on_compare(count)`` is called once
+    per ``search``/``insert`` with the number of content comparisons
+    it made, so the fusion engines can charge simulated time for them.
     """
 
     def __init__(
         self,
-        key_of: Callable[[T], bytes],
-        on_compare: Callable[[], None] | None = None,
+        read: Callable[[int], bytes],
+        on_compare: Callable[[int], object] | None = None,
     ) -> None:
-        self._key_of = key_of
+        self._read = read
         self._on_compare = on_compare
         self.nil: _Node[T] = _Node(None, BLACK)
         self.root: _Node[T] = self.nil
@@ -69,30 +85,28 @@ class RedBlackTree(Generic[T]):
         self._nodes.clear()
 
     # ------------------------------------------------------------------
-    # Comparison
-    # ------------------------------------------------------------------
-    def _compare(self, key: bytes, node: _Node[T]) -> int:
-        if self._on_compare is not None:
-            self._on_compare()
-        node_key = self._key_of(node.value)
-        if key < node_key:
-            return -1
-        if key > node_key:
-            return 1
-        return 0
-
-    # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
     def search(self, key: bytes) -> T | None:
         """Find a stored value whose *current* key equals ``key``."""
+        read = self._read
+        nil = self.nil
         node = self.root
-        while node is not self.nil:
-            order = self._compare(key, node)
-            if order == 0:
-                return node.value
-            node = node.left if order < 0 else node.right
-        return None
+        count = 0
+        found = None
+        while node is not nil:
+            count += 1
+            node_key = read(node.value.pfn)
+            if key < node_key:
+                node = node.left
+            elif key > node_key:
+                node = node.right
+            else:
+                found = node.value
+                break
+        if self._on_compare is not None:
+            self._on_compare(count)
+        return found
 
     # ------------------------------------------------------------------
     # Insert
@@ -100,22 +114,35 @@ class RedBlackTree(Generic[T]):
     def insert(self, value: T) -> None:
         if value in self._nodes:
             raise ValueError(f"value {value!r} already in tree")
-        key = self._key_of(value)
+        read = self._read
+        nil = self.nil
         node = _Node(value, RED)
-        node.left = node.right = self.nil
-        parent = self.nil
+        node.left = node.right = nil
+        parent = nil
         cursor = self.root
-        while cursor is not self.nil:
-            parent = cursor
-            cursor = cursor.left if self._compare(key, cursor) < 0 else cursor.right
+        count = 0
+        went_left = False
+        if cursor is not nil:
+            key = read(value.pfn)
+            while cursor is not nil:
+                count += 1
+                parent = cursor
+                went_left = key < read(cursor.value.pfn)
+                cursor = cursor.left if went_left else cursor.right
+            # The final compare against the parent (the attach side) is
+            # charged as its own comparison; its outcome is the loop's
+            # last one.
+            count += 1
         node.parent = parent
-        if parent is self.nil:
+        if parent is nil:
             self.root = node
-        elif self._compare(key, parent) < 0:
+        elif went_left:
             parent.left = node
         else:
             parent.right = node
         self._nodes[value] = node
+        if self._on_compare is not None:
+            self._on_compare(count)
         self._insert_fixup(node)
 
     def _insert_fixup(self, node: _Node[T]) -> None:

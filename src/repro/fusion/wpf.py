@@ -97,8 +97,8 @@ class WindowsPageFusion(FusionEngine):
         self._allocator: LinearHighAllocator | None = None
 
     def _register(self, kernel: "Kernel") -> None:
-        def charge() -> None:
-            kernel.clock.advance(kernel.costs.tree_compare)
+        def charge(count: int) -> None:
+            kernel.clock.advance(count * kernel.costs.tree_compare)
 
         self._trees = [AvlTree(on_compare=charge) for _ in range(self.num_trees)]
         self._allocator = LinearHighAllocator(kernel)

@@ -133,11 +133,21 @@ class PhysicalMemory:
     # Contents
     # ------------------------------------------------------------------
     def read(self, pfn: int) -> PageContent:
-        """Return the content of frame ``pfn``."""
-        self.check_pfn(pfn)
+        """Return the content of frame ``pfn``.
+
+        Every content-tree comparison is one call here, so
+        :meth:`check_pfn` and :meth:`ContentArena.payload` are inlined
+        (same errors: out-of-range pfn, dead content id).
+        """
+        if not 0 <= pfn < self.num_frames:
+            raise InvalidFrameError(f"pfn {pfn} outside [0, {self.num_frames})")
         if self.sanitizer is not None:
             self.sanitizer.on_read(pfn)
-        return self.arena.payload(self._cids[pfn])
+        cid = self._cids[pfn]
+        payload = self.arena._payloads[cid]
+        if payload is None:
+            raise ValueError(f"content id {cid} is not live")
+        return payload
 
     def peek_content(self, pfn: int) -> PageContent:
         """Diagnostic read bypassing the sanitizer's UAF check.

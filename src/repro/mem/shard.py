@@ -18,8 +18,8 @@ already admitted for that shard) are dropped *before* resolution — so
 any worker count, interleaving or retry history produces bit-identical
 exchange outcomes.  :func:`verify_exchange` is an independent
 re-derivation used by the differential suite and the global ledger
-audit; the seeded mutants it must catch live behind the test-only
-``_mutant`` hook of :func:`resolve_exchange`.
+audit; ``tests/test_shard_exchange.py`` seeds the resolver defects it
+must catch by patching the resolver there.
 """
 
 from __future__ import annotations
@@ -211,19 +211,14 @@ def _admit(tables, min_generations) -> tuple[list[ShardContentTable], int]:
 
 
 def resolve_exchange(tables, *, round_no: int,
-                     min_generations: dict[int, int] | None = None,
-                     _mutant: str | None = None) -> ExchangeOutcome:
+                     min_generations: dict[int, int] | None = None
+                     ) -> ExchangeOutcome:
     """Resolve one round of shard exports into merge intents.
 
     Pure in the (admitted) tables: any permutation of ``tables`` yields
     the same outcome.  ``min_generations`` is the ledger's staleness
-    floor per shard.  ``_mutant`` is the meta-test hook — it seeds the
-    defects (dropped intent, wrong tiebreak, stale admission) that
-    :func:`verify_exchange` must catch; production callers never pass
-    it.
+    floor per shard.
     """
-    if _mutant == "stale":
-        min_generations = None  # seeded defect: admit stale tables
     admitted, stale = _admit(tables, min_generations)
     exchanged = sum(len(table.entries) for table in admitted)
     by_digest: dict[int, list[tuple[int, int, int]]] = {}
@@ -238,8 +233,6 @@ def resolve_exchange(tables, *, round_no: int,
         holders = sorted(by_digest[digest])
         if len(holders) < 2:
             continue
-        if _mutant == "tiebreak":
-            holders = holders[::-1]  # seeded defect: max-(shard, pfn) wins
         src_shard, src_pfn, _ = holders[0]
         remote_saved += len(holders) - 1
         for tgt_shard, tgt_pfn, tgt_holders in holders[1:]:
@@ -249,8 +242,6 @@ def resolve_exchange(tables, *, round_no: int,
                 holders=tgt_holders,
             ))
     intents.sort(key=lambda intent: intent.order_key)
-    if _mutant == "drop-intent" and intents:
-        intents = intents[:-1]  # seeded defect: lost interconnect message
     return ExchangeOutcome(
         round_no=round_no, intents=tuple(intents), exchanged_cids=exchanged,
         remote_saved_frames=remote_saved, stale_entries_dropped=stale,
@@ -279,8 +270,8 @@ def verify_exchange(tables, outcome: ExchangeOutcome, *,
             f"exchange round {outcome.round_no}: exchanged_cids "
             f"{outcome.exchanged_cids} != audited {exchanged}"
         )
-    # Reference derivation: flat (shard, pfn)-sorted holder list per
-    # digest, canonical = first element after the sort.
+    # Reference derivation: one flat sort, so each digest's holders are
+    # one contiguous, (shard, pfn)-ordered run; canonical = its first.
     flat = sorted(
         (entry.digest, table.shard, entry.pfn, entry.holders)
         for table in admitted for entry in table.entries
@@ -290,8 +281,11 @@ def verify_exchange(tables, outcome: ExchangeOutcome, *,
     index = 0
     while index < len(flat):
         digest = flat[index][0]
-        group = [row for row in flat if row[0] == digest]
-        index += len(group)
+        end = index + 1
+        while end < len(flat) and flat[end][0] == digest:
+            end += 1
+        group = flat[index:end]
+        index = end
         if len(group) < 2:
             continue
         _, src_shard, src_pfn, _ = group[0]

@@ -116,6 +116,18 @@ class AddressSpace:
     def vmas(self) -> tuple[Vma, ...]:
         return tuple(self._vmas)
 
+    def has_vma(self, vma: Vma) -> bool:
+        """Whether this very ``vma`` object is still mapped.
+
+        An identity test: ``vma in self.vmas`` would build a tuple and
+        run the dataclass ``__eq__`` over every field of every VMA, and
+        would call a removed VMA live while an equal-valued twin exists.
+        """
+        for mapped in self._vmas:
+            if mapped is vma:
+                return True
+        return False
+
     def mergeable_vmas(self) -> list[Vma]:
         return [vma for vma in self._vmas if vma.mergeable]
 

@@ -9,7 +9,6 @@ translation-change (AnC-style) side channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import MappingError
@@ -36,19 +35,30 @@ def _indices(vaddr: int) -> tuple[int, int, int, int]:
     )
 
 
-@dataclass(frozen=True)
 class TranslationResult:
     """Outcome of a page-table walk.
 
     ``levels_walked`` is the number of table levels the hardware had to
     read (3 for a huge-page leaf, 4 for a 4 KiB page); it feeds the
-    timing model on TLB misses.
+    timing model on TLB misses.  A plain ``__slots__`` record: one is
+    built per walk, and walks sit on every scan and fault path.
     """
 
-    pte: PageTableEntry
-    huge: bool
-    levels_walked: int
-    page_base: int
+    __slots__ = ("pte", "huge", "levels_walked", "page_base")
+
+    def __init__(
+        self, pte: PageTableEntry, huge: bool, levels_walked: int, page_base: int
+    ) -> None:
+        self.pte = pte
+        self.huge = huge
+        self.levels_walked = levels_walked
+        self.page_base = page_base
+
+    def __repr__(self) -> str:
+        return (
+            f"TranslationResult(pte={self.pte!r}, huge={self.huge}, "
+            f"levels_walked={self.levels_walked}, page_base={self.page_base:#x})"
+        )
 
     @property
     def pfn(self) -> int:
@@ -152,25 +162,27 @@ class PageTable:
     # Lookup
     # ------------------------------------------------------------------
     def walk(self, vaddr: int) -> TranslationResult | None:
-        """Translate ``vaddr``; return None if nothing maps it."""
-        l4, l3, l2, l1 = _indices(vaddr)
-        pdpt = self._root.get(l4)
+        """Translate ``vaddr``; return None if nothing maps it.
+
+        The index split of :func:`_indices` is inlined: this is the
+        simulator's most frequent page-table operation.
+        """
+        vpn = vaddr >> PAGE_SHIFT
+        pdpt = self._root.get((vpn >> 27) & 0x1FF)
         if pdpt is None:
             return None
-        pd = pdpt.get(l3)
+        pd = pdpt.get((vpn >> 18) & 0x1FF)
         if pd is None:
             return None
-        entry = pd.get(l2)
+        entry = pd.get((vpn >> 9) & 0x1FF)
         if entry is None:
             return None
         if isinstance(entry, PageTableEntry):
-            base = vaddr & ~(HUGE_PAGE_SIZE - 1)
-            return TranslationResult(entry, huge=True, levels_walked=3, page_base=base)
-        pte = entry.get(l1)
+            return TranslationResult(entry, True, 3, vaddr & ~(HUGE_PAGE_SIZE - 1))
+        pte = entry.get(vpn & 0x1FF)
         if pte is None:
             return None
-        base = vaddr & ~(PAGE_SIZE - 1)
-        return TranslationResult(pte, huge=False, levels_walked=4, page_base=base)
+        return TranslationResult(pte, False, 4, vaddr & ~(PAGE_SIZE - 1))
 
     # ------------------------------------------------------------------
     # Huge-page restructuring

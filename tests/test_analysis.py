@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.metrics import count_huge_pages, fused_page_breakdown, take_sample
@@ -52,6 +57,21 @@ class TestStats:
     def test_ks_uniform_rejects_clustered(self):
         values = [10.1] * 200
         assert ks_uniform_pvalue(values, 10, 20) < 0.001
+
+    def test_import_leaves_scipy_unloaded(self):
+        """SciPy is imported by the first KS call, never by importing
+        the harness or the CLI (it dominated every cold start)."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import sys, repro.harness.fleet, repro.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_ks_uniform_bad_interval(self):
         with pytest.raises(ValueError):

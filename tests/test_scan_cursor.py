@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import FusionError, InvalidFrameError
 from repro.fusion.base import FusionEngine, FusionStats, ScanCursor
 from repro.kernel.kernel import Kernel
+from repro.mmu.address_space import Vma
 from repro.mem.content import ZERO_PAGE, tagged_content
 from repro.mem.scankernel import BatchScanKernel, ScalarScanKernel
 from repro.params import PAGE_SIZE
@@ -76,6 +78,156 @@ class TestScanCursor:
         process.mmap(4, mergeable=False)
         cursor = ScanCursor(kernel)
         assert cursor.next_pages(8) == []
+
+    def test_next_page_at_the_wrap_point(self):
+        kernel, vmas = self.make_setup([2, 1])
+        (p0, a), (p1, b) = vmas
+        cursor = ScanCursor(kernel)
+        assert cursor.next_page() == (p0, a, a.start)
+        assert cursor.next_page() == (p0, a, a.start + PAGE_SIZE)
+        assert cursor.next_page() == (p1, b, b.start)
+        assert cursor.full_scans == 0
+        # A process created mid-round joins at the rebuild, which the
+        # very call that runs off the end performs — and counts.
+        late = kernel.create_process("late")
+        late_vma = late.mmap(1, mergeable=True)
+        assert cursor.next_page() == (p0, a, a.start)
+        assert cursor.full_scans == 1
+        assert cursor.next_page() == (p0, a, a.start + PAGE_SIZE)
+        assert cursor.next_page() == (p1, b, b.start)
+        assert cursor.next_page() == (late, late_vma, late_vma.start)
+        assert cursor.full_scans == 1
+
+    def test_next_page_on_empty_machine(self):
+        cursor = ScanCursor(Kernel(small_spec()))
+        assert cursor.next_page() is None
+        assert cursor.next_page() is None
+        assert cursor.full_scans == 0
+
+    def test_removed_vma_with_equal_twin_is_skipped(self):
+        """Liveness is identity: an equal-valued VMA standing in the
+        list does not keep a removed one alive."""
+        kernel, vmas = self.make_setup([2])
+        process, vma = vmas[0]
+        cursor = ScanCursor(kernel)
+        assert cursor.next_page() == (process, vma, vma.start)
+        twin = Vma(start=vma.start, end=vma.end, name=vma.name, mergeable=True)
+        assert twin == vma and twin is not vma
+        space = process.address_space
+        space._vmas.append(twin)
+        space.remove_vma(vma)  # list.remove drops the first equal: vma
+        assert space.vmas == (twin,) and space.vmas[0] is twin
+        assert not space.has_vma(vma) and space.has_vma(twin)
+        # vma's second page is not scanned: the cursor rebuilds and
+        # starts the new round on the twin.
+        assert cursor.next_page() == (process, twin, twin.start)
+        assert cursor.full_scans == 1
+
+    def test_pageless_vmas_end_the_call(self):
+        """A list that yields no page ends the call at its second
+        rebuild instead of spinning (a VMA with ``start == end``)."""
+        kernel = Kernel(small_spec())
+        process = kernel.create_process("p")
+        process.address_space._vmas.append(
+            Vma(start=0x4000_0000, end=0x4000_0000, mergeable=True))
+        cursor = ScanCursor(kernel)
+        assert cursor.next_page() is None
+        assert cursor.next_pages(3) == []
+
+    def test_batch_stops_at_second_wrap(self):
+        kernel, vmas = self.make_setup([2])
+        process, vma = vmas[0]
+        cursor = ScanCursor(kernel)
+        pages = [vma.start, vma.start + PAGE_SIZE]
+        # The first batch builds the list (one rebuild) and stops at
+        # the wrap (the second): two pages, one full scan.
+        assert [t[2] for t in cursor.next_pages(5)] == pages
+        assert cursor.full_scans == 1
+        assert [t[2] for t in cursor.next_pages(5)] == pages + pages
+        assert cursor.full_scans == 3
+        assert cursor.next_page() == (process, vma, vma.start)
+
+
+class ReferenceCursor(ScanCursor):
+    """The list-building cursor, kept as a differential reference.
+
+    Batches are built in one loop that counts its own rebuilds, and
+    liveness is ``vma in address_space.vmas`` (equality); the suite's
+    scenarios never create equal-valued twins, where the two differ.
+    """
+
+    def next_pages(self, count):
+        result = []
+        rebuilds = 0
+        while len(result) < count:
+            if self._vma_index >= len(self._items):
+                self._rebuild()
+                rebuilds += 1
+                if not self._items or rebuilds > 1:
+                    break
+            process, vma = self._items[self._vma_index]
+            if not process.alive or vma not in process.address_space.vmas:
+                self._vma_index += 1
+                self._page_index = 0
+                continue
+            vaddr = vma.start + self._page_index * PAGE_SIZE
+            if vaddr >= vma.end:
+                self._vma_index += 1
+                self._page_index = 0
+                continue
+            result.append((process, vma, vaddr))
+            self._page_index += 1
+        return result
+
+    def next_page(self):
+        batch = self.next_pages(1)
+        return batch[0] if batch else None
+
+
+CURSOR_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["page", "batch", "mmap", "munmap", "exit", "spawn"]),
+        st.integers(min_value=0, max_value=7),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=st.lists(st.integers(1, 4), max_size=3), ops=CURSOR_OPS)
+def test_cursor_matches_list_building_reference(layout, ops):
+    """next_page/next_pages yield exactly the reference's targets and
+    full-scan counts under VMA churn and process exits."""
+    kernel = Kernel(small_spec())
+    processes = []
+    for index, pages in enumerate(layout):
+        process = kernel.create_process(f"p{index}")
+        process.mmap(pages, mergeable=True)
+        processes.append(process)
+    cursor, reference = ScanCursor(kernel), ReferenceCursor(kernel)
+    for op, arg in ops:
+        live = [p for p in processes if p.alive]
+        if op == "page":
+            assert cursor.next_page() == reference.next_page()
+        elif op == "batch":
+            # Up to 15 pages: often more than the machine holds, so
+            # batches also run into their second rebuild.
+            count = 2 * arg + 1
+            assert cursor.next_pages(count) == reference.next_pages(count)
+        elif op == "mmap" and live:
+            live[arg % len(live)].mmap(1 + arg % 3, mergeable=arg % 4 != 0)
+        elif op == "munmap" and live:
+            process = live[arg % len(live)]
+            if process.address_space.vmas:
+                vmas = process.address_space.vmas
+                process.munmap(vmas[arg % len(vmas)])
+        elif op == "exit" and live:
+            kernel.destroy_process(live[arg % len(live)])
+        elif op == "spawn":
+            process = kernel.create_process(f"s{len(processes)}")
+            process.mmap(1 + arg % 3, mergeable=True)
+            processes.append(process)
+        assert cursor.full_scans == reference.full_scans
 
 
 class TestScanKernelBatches:

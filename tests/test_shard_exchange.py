@@ -10,9 +10,12 @@ before resolution.  This suite proves it three ways:
   resolver must agree with :func:`~repro.mem.shard.verify_exchange`'s
   structurally different reference derivation under any permutation of
   the input tables;
-* a seeded-mutant meta-test: each defect the ``_mutant`` hook plants
-  (dropped intent, inverted tiebreak, stale admission) must be caught
-  by the verifier — so the audit demonstrably has teeth;
+* a seeded-mutant meta-test: each defect this suite plants by wrapping
+  the resolver (dropped intent, inverted tiebreak, stale admission)
+  must be caught by the verifier, also when patched in under the
+  ledger — so the audit demonstrably has teeth;
+* one large round (20k+ rows, many duplicate digests) where resolver
+  and verifier must still agree;
 * the five fusion engines running a sharded scenario end to end
   through the serial reference executor, byte-identical across runs,
   with every exported table canonical.
@@ -20,12 +23,15 @@ before resolution.  This suite proves it three ways:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.harness.shardfleet import run_sharded_serial
+from repro.mem import shard as shard_module
 from repro.harness.spec import FleetSpec, ScenarioSpec, ScheduleSpec
 from repro.harness.scenario import SystemConfig
 from repro.mem.shard import (
@@ -239,6 +245,50 @@ MUTANT_TABLES = [
 MUTANT_FLOORS = {2: 5}
 
 
+def mutant_stale(tables, *, round_no, min_generations=None):
+    """Seeded defect: the ledger's staleness floors are ignored."""
+    return resolve_exchange(tables, round_no=round_no)
+
+
+def mutant_drop_intent(tables, *, round_no, min_generations=None):
+    """Seeded defect: the last intent (a lost interconnect message)."""
+    outcome = resolve_exchange(tables, round_no=round_no,
+                               min_generations=min_generations)
+    return dataclasses.replace(outcome, intents=outcome.intents[:-1])
+
+
+def mutant_tiebreak(tables, *, round_no, min_generations=None):
+    """Seeded defect: the maximal ``(shard, pfn)`` holder wins."""
+    outcome = resolve_exchange(tables, round_no=round_no,
+                               min_generations=min_generations)
+    holders = {(t.shard, e.pfn): e.holders
+               for t in tables for e in t.entries}
+    members: dict[int, set[tuple[int, int]]] = {}
+    for intent in outcome.intents:
+        group = members.setdefault(
+            intent.digest, {(intent.source_shard, intent.source_pfn)})
+        group.add((intent.target_shard, intent.target_pfn))
+    intents = []
+    for digest, group in members.items():
+        (src_shard, src_pfn), *targets = sorted(group, reverse=True)
+        intents.extend(
+            MergeIntent(digest=digest, source_shard=src_shard,
+                        source_pfn=src_pfn, target_shard=tgt_shard,
+                        target_pfn=tgt_pfn,
+                        holders=holders[(tgt_shard, tgt_pfn)])
+            for tgt_shard, tgt_pfn in targets
+        )
+    intents.sort(key=lambda intent: intent.order_key)
+    return dataclasses.replace(outcome, intents=tuple(intents))
+
+
+MUTANT_RESOLVERS = {
+    "drop-intent": mutant_drop_intent,
+    "tiebreak": mutant_tiebreak,
+    "stale": mutant_stale,
+}
+
+
 class TestSeededMutants:
     def test_layout_is_sensitive(self):
         # Sanity: the pristine resolver passes on this layout and
@@ -252,9 +302,8 @@ class TestSeededMutants:
 
     @pytest.mark.parametrize("mutant", ["drop-intent", "tiebreak", "stale"])
     def test_mutant_is_caught(self, mutant):
-        outcome = resolve_exchange(MUTANT_TABLES, round_no=0,
-                                   min_generations=MUTANT_FLOORS,
-                                   _mutant=mutant)
+        outcome = MUTANT_RESOLVERS[mutant](MUTANT_TABLES, round_no=0,
+                                           min_generations=MUTANT_FLOORS)
         with pytest.raises(ShardExchangeError):
             verify_exchange(MUTANT_TABLES, outcome,
                             min_generations=MUTANT_FLOORS)
@@ -264,11 +313,44 @@ class TestSeededMutants:
         # catches): intents shrink, the tiebreak flips, stale admits.
         pristine = resolve_exchange(MUTANT_TABLES, round_no=0,
                                     min_generations=MUTANT_FLOORS)
-        for mutant in ("drop-intent", "tiebreak", "stale"):
-            mutated = resolve_exchange(MUTANT_TABLES, round_no=0,
-                                       min_generations=MUTANT_FLOORS,
-                                       _mutant=mutant)
+        for mutant, resolver in MUTANT_RESOLVERS.items():
+            mutated = resolver(MUTANT_TABLES, round_no=0,
+                               min_generations=MUTANT_FLOORS)
             assert mutated != pristine, mutant
+
+    @pytest.mark.parametrize("mutant", ["drop-intent", "tiebreak", "stale"])
+    def test_ledger_audit_catches_patched_mutant(self, mutant, monkeypatch):
+        # The production path: the ledger resolves through the module's
+        # resolver and audits every round.  Round 0 raises shard 2's
+        # floor to 5; round 1 replays MUTANT_TABLES against it.
+        ledger = RemoteShareLedger()
+        ledger.resolve_round([table(2, [], generation=5)], round_no=0)
+        assert ledger.generations() == MUTANT_FLOORS
+        monkeypatch.setattr(shard_module, "resolve_exchange",
+                            MUTANT_RESOLVERS[mutant])
+        with pytest.raises(ShardExchangeError):
+            ledger.resolve_round(MUTANT_TABLES, round_no=1)
+
+
+class TestLargeRound:
+    def test_resolver_and_verifier_agree_on_large_round(self):
+        """24k rows: 24 shards each advertise 1000 of 3000 digests, so
+        each digest is one run of ~8 holders in the verifier's sort."""
+        rng = random.Random(1017)
+        tables_ = [
+            table(shard, [(digest, rng.randrange(1 << 20), rng.randrange(1, 5))
+                          for digest in rng.sample(range(3000), 1000)],
+                  generation=3)
+            for shard in range(24)
+        ]
+        rows = sum(len(t.entries) for t in tables_)
+        assert rows == 24_000
+        outcome = resolve_exchange(tables_, round_no=0)
+        verify_exchange(tables_, outcome)
+        assert outcome.exchanged_cids == rows
+        shared = {e.digest for t in tables_ for e in t.entries}
+        assert outcome.remote_saved_frames == rows - len(shared)
+        assert len(outcome.intents) == outcome.remote_saved_frames
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,8 @@ MUTANTS = [
     ),
     pytest.param(
         KSM,
-        "kernel.map_page(process, vaddr, node.pfn, self._fused_flags())",
-        "kernel.map_page(process, vaddr, node.pfn, "
-        "PteFlags.USER | PteFlags.WRITABLE)",
+        "            process, vaddr, node.pfn, self._fused_flags()\n",
+        "            process, vaddr, node.pfn, PteFlags.USER | PteFlags.WRITABLE\n",
         "FLOW001",
         id="ksm-merge-skips-cache-disable-path",
     ),
